@@ -25,13 +25,14 @@ use crate::api::prepared::{CachedPlan, PreparedCache};
 use crate::config::NoDbConfig;
 use crate::ctx::QueryCtx;
 use crate::metrics::{QueryReport, SystemSnapshot};
-use crate::rawscan::{self, RawScanSource, ScanTelemetry, TelemetryHandle};
+use crate::rawscan::{self, ScanTelemetry, TelemetryHandle};
 use crate::registry::{TableHandle, TableRegistry};
 use crate::table::RawTable;
 
 /// How many times a query re-plans after finding its prepared scan stale
 /// (file-state generation moved, or a needed cache column was evicted)
-/// before falling back to running exclusively under the table's write lock.
+/// before running the same scan stages while holding the table's write
+/// lock throughout, where the plan cannot go stale.
 const MAX_SHARED_ATTEMPTS: usize = 3;
 
 /// The NoDB system: a set of registered raw files and their adaptive
@@ -227,10 +228,11 @@ impl NoDb {
     /// update detection, access planning, map/cache/statistics population.
     ///
     /// Takes `&self`: any number of threads may call this concurrently on
-    /// one instance. The table's write lock is held only for planning and
-    /// the post-scan install; the data scan itself runs under the read lock
-    /// (or, for `scan_threads = 1` and the force-full-parse ablation, under
-    /// the write lock — the sequential path is kept byte-for-byte).
+    /// one instance. Every query, at every `scan_threads` setting, runs the
+    /// same staged scan: planning under a short write lock, the partition
+    /// workers (or the fully-cached stream) under the read lock, and the
+    /// post-scan install under a short write lock. Only a query whose plan
+    /// went stale several times in a row holds the write lock throughout.
     pub fn query(&self, sql: &str) -> EngineResult<QueryResult> {
         let ctx = QueryCtx::from_timeout_ms(self.config().query_timeout_ms);
         self.query_with_ctx(sql, &ctx)
@@ -324,9 +326,9 @@ impl NoDb {
         // Planning bookkeeping under a short write lock: update probe,
         // cached-plan validation or statistics-driven planning, usage
         // counters. The whole plan+scan region lives in one block so the
-        // write guard (still held after an exclusive-path scan) is dead
-        // before the post-query snapshot write-behind re-locks the table.
-        let (planned, prepared_hit, result, engine_elapsed, scan_inside_engine) = {
+        // write guard is dead before the post-query snapshot write-behind
+        // re-locks the table.
+        let (planned, prepared_hit, result, engine_elapsed) = {
             let mut guard = handle.write();
             let (planned, prepared_hit) = {
                 let table = &mut *guard;
@@ -385,21 +387,13 @@ impl NoDb {
 
             let mut attempts = 0usize;
             // Engine (pipeline-above-the-scan) time, measured around the
-            // execute call so the report separates scan work from engine work.
-            // On the staged paths the split is exact; on the exclusive
-            // streaming path the scan runs inside execute, so its phase slices
-            // are subtracted back out below.
+            // execute call. The scan has fully run by then, so the report
+            // separates scan work from engine work exactly.
             let mut engine_elapsed = std::time::Duration::ZERO;
-            // True when the scan ran *inside* the engine call (the exclusive
-            // streaming path pulls batches from within execute), so the scan's
-            // phase slices must be carved back out of the engine measurement.
-            let mut scan_inside_engine = false;
             let vectorized = config.vectorized_exec;
-            let mut run_engine = |planned: &nodb_engine::PlannedQuery,
-                                  source: Box<dyn nodb_engine::ScanSource + '_>|
-             -> EngineResult<QueryResult> {
+            let mut run_engine = |queue| -> EngineResult<QueryResult> {
                 let t = Instant::now();
-                let r = execute_with(planned, source, vectorized);
+                let r = execute_with(&planned, Box::new(QueueSource::new(queue)), vectorized);
                 engine_elapsed = t.elapsed();
                 r
             };
@@ -424,53 +418,28 @@ impl NoDb {
                     );
                     // A stale prep (concurrent append/replace reconciliation, or a
                     // cache column evicted under budget pressure) sends the query
-                    // around the loop; after a few spins it runs exclusively, which
-                    // cannot go stale.
-                    let exclusive = attempts > MAX_SHARED_ATTEMPTS;
-                    if !exclusive && prep.fully_cached {
+                    // around the loop; after a few spins it keeps the write lock
+                    // for the whole scan, which cannot go stale.
+                    if attempts > MAX_SHARED_ATTEMPTS {
+                        let staged =
+                            rawscan::scan_exclusive(&mut guard, &config, &prep, &telemetry);
                         drop(guard);
-                        match rawscan::stream_cached_shared(&handle, &config, &prep, &telemetry) {
-                            Ok(Some(queue)) => {
-                                break run_engine(&planned, Box::new(QueueSource::new(queue)))
-                            }
-                            Ok(None) => {
-                                guard = handle.write();
-                                continue;
-                            }
-                            Err(e) => break Err(e),
-                        }
+                        break staged.and_then(&mut run_engine);
                     }
-                    if !exclusive
-                        && !prep.fully_cached
-                        && prep.threads >= 2
-                        && !config.cache_force_full_parse
-                    {
-                        drop(guard);
-                        match rawscan::scan_shared(&handle, &config, &prep, &telemetry) {
-                            Ok(Some(queue)) => {
-                                break run_engine(&planned, Box::new(QueueSource::new(queue)))
-                            }
-                            Ok(None) => {
-                                guard = handle.write();
-                                continue;
-                            }
-                            Err(e) => break Err(e),
-                        }
-                    }
-                    // Exclusive path: the write lock is held across the whole
-                    // scan (and released right after, see above).
-                    scan_inside_engine = true;
-                    let r = {
-                        let source = RawScanSource::from_prep(
-                            &mut guard,
-                            config,
-                            prep,
-                            Arc::clone(&telemetry),
-                        );
-                        run_engine(&planned, Box::new(source))
-                    };
                     drop(guard);
-                    break r;
+                    let staged = if prep.fully_cached {
+                        rawscan::stream_cached_shared(&handle, &config, &prep, &telemetry)
+                    } else {
+                        rawscan::scan_shared(&handle, &config, &prep, &telemetry)
+                    };
+                    match staged {
+                        Ok(Some(queue)) => break run_engine(queue),
+                        Ok(None) => {
+                            guard = handle.write();
+                            continue;
+                        }
+                        Err(e) => break Err(e),
+                    }
                 };
                 match attempt {
                     Ok(r) => break 'query r,
@@ -520,13 +489,7 @@ impl NoDb {
                 self.source_changes
                     .fetch_add(source_changes, Ordering::Relaxed);
             }
-            (
-                planned,
-                prepared_hit,
-                result,
-                engine_elapsed,
-                scan_inside_engine,
-            )
+            (planned, prepared_hit, result, engine_elapsed)
         };
 
         let total = t0.elapsed();
@@ -537,11 +500,7 @@ impl NoDb {
             + breakdown.parsing
             + breakdown.convert
             + breakdown.nodb;
-        breakdown.engine = if scan_inside_engine {
-            engine_elapsed.saturating_sub(scan_time)
-        } else {
-            engine_elapsed
-        };
+        breakdown.engine = engine_elapsed;
         breakdown.planning = planning;
         // Processing = everything not attributed to a scan phase, the
         // engine pipeline or planning (admission/lock waits land here).
@@ -593,36 +552,6 @@ impl NoDb {
     /// Lock it (`read`/`write`) to inspect or tweak the adaptive state.
     pub fn table_handle(&self, name: &str) -> Option<TableHandle> {
         self.tables.get(name)
-    }
-
-    // ------------------------------------------------------------------
-    // Deprecated aliases for methods that moved to the admin surface
-    // (`NoDb::admin`). Kept so pre-split callers keep compiling; they
-    // forward verbatim.
-    // ------------------------------------------------------------------
-
-    /// Report for the most recent query on this instance.
-    #[deprecated(note = "moved to the admin surface: use `db.admin().last_report()`")]
-    pub fn last_report(&self) -> Option<QueryReport> {
-        self.admin().last_report()
-    }
-
-    /// Change the positional-map budget for every registered table.
-    #[deprecated(note = "moved to the admin surface: use `db.admin().set_map_budget(bytes)`")]
-    pub fn set_map_budget(&self, bytes: usize) {
-        self.admin().set_map_budget(bytes)
-    }
-
-    /// Change the cache budget for every registered table.
-    #[deprecated(note = "moved to the admin surface: use `db.admin().set_cache_budget(bytes)`")]
-    pub fn set_cache_budget(&self, bytes: usize) {
-        self.admin().set_cache_budget(bytes)
-    }
-
-    /// Force an update probe on one table.
-    #[deprecated(note = "moved to the admin surface: use `db.admin().probe_updates(table)`")]
-    pub fn probe_updates(&self, table: &str) -> EngineResult<crate::epoch::EpochChange> {
-        self.admin().probe_updates(table)
     }
 }
 

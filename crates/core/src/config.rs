@@ -81,13 +81,6 @@ pub struct NoDbConfig {
     /// statistics; only the I/O stall time changes. Clamped to at most
     /// [`MAX_READAHEAD_BLOCKS`] by [`Self::validated`].
     pub io_readahead_blocks: usize,
-    /// Best-effort core pinning: pin each parallel-scan worker (and
-    /// pre-count counter) to a distinct CPU core via `sched_setaffinity`
-    /// on Linux; a no-op elsewhere and on kernels that refuse. Off by
-    /// default — pinning helps dedicated hosts (stable caches, no
-    /// migration) but hurts when several queries share the machine, since
-    /// every scan pins to the same low-numbered cores.
-    pub pin_cores: bool,
     /// Collect per-phase execution breakdowns (Fig 3). Costs a few ns per
     /// row; disable for pure-throughput microbenchmarks.
     pub detailed_timing: bool,
@@ -106,15 +99,15 @@ pub struct NoDbConfig {
     /// `0` disables the retry (the error surfaces immediately). Retries are
     /// counted in `QueryReport::source_changed`.
     pub source_change_retries: u32,
-    /// Number of scan worker threads for streaming raw scans. `0` means
-    /// auto-detect (`std::thread::available_parallelism`). `1` forces the
-    /// single-threaded scan path — byte-for-byte the pre-parallel code, kept
-    /// for fallback and A/B benchmarking. Values `>= 2` split the file into
-    /// line-aligned partitions scanned concurrently; post-scan positional
-    /// map, cache and statistics are identical to a sequential scan (see
+    /// Number of worker threads per raw scan. `0` means auto-detect
+    /// (`std::thread::available_parallelism`). Every scan splits the file
+    /// into `scan_threads × steal_slices_per_thread` line-aligned slices
+    /// and runs them on this many partition workers; `1` is one worker
+    /// draining every slice in file order. The post-scan positional map,
+    /// cache and statistics are identical at every thread count (see
     /// `rawscan`'s module docs for the merge invariants).
     pub scan_threads: usize,
-    /// Two-phase cold scans: when a cold (byte-partitioned) parallel scan
+    /// Two-phase cold scans: when a cold (byte-partitioned) scan
     /// could reuse existing state — partial cache coverage, or positional-map
     /// chunks surviving an append — run a cheap SWAR newline pre-count over
     /// the partitions first to establish every partition's global row base.
@@ -195,7 +188,6 @@ impl Default for NoDbConfig {
             stats_sample_every: 1,
             io_block_size: 1 << 20,
             io_readahead_blocks: 2,
-            pin_cores: false,
             detailed_timing: true,
             detect_updates: true,
             source_change_retries: 1,
@@ -257,8 +249,7 @@ impl NoDbConfig {
     /// silently, now the config owns the rule), `io_readahead_blocks` to at
     /// most [`MAX_READAHEAD_BLOCKS`] (each in-flight block pins a block of
     /// memory per scanner). Applied by `NoDb::new`, so every facade query
-    /// runs on a validated snapshot; direct `RawScanSource` users can call
-    /// it themselves.
+    /// runs on a validated snapshot.
     pub fn validated(mut self) -> Self {
         self.io_block_size = self
             .io_block_size
@@ -530,7 +521,6 @@ mod tests {
         let normal = NoDbConfig::default().validated();
         assert_eq!(normal.io_block_size, 1 << 20, "in-range values untouched");
         assert_eq!(normal.io_readahead_blocks, 2, "default double-buffering");
-        assert!(!normal.pin_cores, "pinning is opt-in");
     }
 
     #[test]

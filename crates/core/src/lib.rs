@@ -77,11 +77,10 @@
 //!   final line is therefore not served until a newline ends it).
 
 pub mod admission;
-mod affinity;
 pub mod api;
 pub mod config;
 pub mod ctx;
-pub mod epoch;
+pub use nodb_rawcsv::epoch;
 pub mod metrics;
 pub mod rawscan;
 pub mod registry;
@@ -96,6 +95,6 @@ pub use config::{NoDbConfig, NoDbConfigBuilder, ParseErrorPolicy};
 pub use ctx::{CancelToken, QueryCtx};
 pub use epoch::{EpochChange, SourceEpoch};
 pub use metrics::{Breakdown, QueryReport, SnapshotTelemetry, SystemSnapshot};
-pub use rawscan::{QuarantineSample, RawScanSource, ScanTelemetry, TelemetryHandle};
+pub use rawscan::{QuarantineSample, ScanTelemetry, TelemetryHandle};
 pub use registry::{TableHandle, TableRegistry};
 pub use table::{RawTable, RestoreOutcome};

@@ -36,8 +36,8 @@ pub struct Breakdown {
     /// a prepared hit deletes.
     pub planning: Duration,
     /// Everything not attributed elsewhere: admission waits, lock waits,
-    /// and (for the exclusive streaming path, whose scan and engine
-    /// interleave) the scan-side remainder.
+    /// and scan time no phase clock covered (all of it with
+    /// `detailed_timing` off).
     pub processing: Duration,
 }
 

@@ -21,36 +21,35 @@
 //!
 //! # Threading model
 //!
-//! Streaming scans run on `NoDbConfig::scan_threads` workers (`0` =
-//! auto-detect, `1` = the original single-threaded path, kept verbatim for
-//! fallback and A/B benchmarking). The in-situ scan is embarrassingly
-//! parallel over row-ordered CSV, so the driver splits the file into
-//! line-aligned partitions, one worker per partition (`crate::worker`), and
-//! deterministically merges the partial results. Two partitioning modes:
+//! There is one scan path. Every raw scan splits the file into
+//! `NoDbConfig::scan_threads × steal_slices_per_thread` line-aligned slices
+//! and runs them on `scan_threads` partition workers (`crate::worker`, the
+//! only place a raw row is resolved); the driver then merges the partials
+//! deterministically. `scan_threads = 1` is one worker draining every slice
+//! in file order, `0` resolves to the machine's available parallelism. Two
+//! partitioning modes:
 //!
 //! * **Row-partitioned (warm)** — when the shared row index is complete
-//!   (some earlier query scanned to EOF with the map enabled), partitions
-//!   are row ranges: every worker knows its global row base up front and can
-//!   therefore use per-row cache reads and exact positional-map jumps,
-//!   exactly like the sequential scan.
+//!   (some earlier query scanned to EOF with the map enabled), slices are
+//!   row ranges: every worker knows its global row base up front and can
+//!   therefore use per-row cache reads and exact positional-map jumps.
 //! * **Byte-partitioned (cold)** — otherwise the file is split at byte
 //!   targets snapped forward to line boundaries
 //!   ([`nodb_rawcsv::reader::partition_line_ranges`]). Global row numbers
-//!   are unknown until the workers count their partitions, so workers
-//!   resolve every value from raw bytes; partitions whose tokenizer is
-//!   plain use the fused single-pass scan
+//!   are unknown until the workers count their slices, so workers resolve
+//!   every value from raw bytes — unless a newline pre-count established
+//!   the row bases first (see [`plan_cold_partitions`]); slices whose
+//!   tokenizer is plain use the fused single-pass scan
 //!   ([`nodb_rawcsv::reader::BlockScanner::next_line_tokenized`]).
 //!
-//! Every scanner — sequential, per-partition worker, and the cold
-//! pre-count — pulls its blocks through the pluggable
-//! [`nodb_rawcsv::reader::BlockSource`] layer: with
-//! `NoDbConfig::io_readahead_blocks > 0` each gets its own prefetch helper
-//! thread that keeps blocks in flight while the scan thread tokenizes
-//! (disk wait overlaps CPU; the remaining wait is reported as
-//! `IoCounters::stall`), with `0` it reads synchronously as before. The
-//! byte stream is identical either way, so the read-ahead depth never
-//! affects the post-scan state. `NoDbConfig::pin_cores` additionally pins
-//! each worker to a distinct core, best-effort.
+//! Every scanner — per-slice worker and the cold pre-count — pulls its
+//! blocks through the pluggable [`nodb_rawcsv::reader::BlockSource`] layer:
+//! with `NoDbConfig::io_readahead_blocks > 0` each gets its own prefetch
+//! helper thread that keeps blocks in flight while the scan thread
+//! tokenizes (disk wait overlaps CPU; the remaining wait is reported as
+//! `IoCounters::stall`), with `0` it reads synchronously. The byte stream
+//! is identical either way, so the read-ahead depth never affects the
+//! post-scan state.
 //!
 //! # Concurrent queries (lock staging)
 //!
@@ -62,7 +61,8 @@
 //!    planning (LRU touches, cache query tick), coverage snapshots and warm
 //!    partitioning, captured into a [`ScanPrep`] together with the table's
 //!    file-state generation.
-//! 2. **Scan** ([`run_partitions`] / [`stream_cached_shared`], read lock) —
+//! 2. **Scan** ([`plan_cold_partitions`] with no lock, then
+//!    [`run_partitions`] / [`stream_cached_shared`], read lock) —
 //!    workers borrow the map/cache/schema immutably and stage everything in
 //!    partition-local partials; fully-cached queries stream through
 //!    `RawCache::peek` with local hit tallies. Any number of queries can be
@@ -84,13 +84,16 @@
 //! a generation — a chunk that moved or a column that was evicted simply
 //! degrades to tokenizing, never to wrong data, because every chunk of the
 //! same generation stores identical offsets for the same `(attr, row)`.
+//! A query whose plan keeps going stale runs the same stages while holding
+//! the write lock throughout ([`scan_exclusive`]).
 //!
 //! # Merge invariants
 //!
 //! Workers never touch shared mutable state; each returns partition-local
 //! partials that the driver merges **in partition order**, which makes the
-//! post-scan state byte-identical to a sequential scan (property-tested in
-//! `tests/property_based.rs`):
+//! post-scan state byte-identical for every thread count and slice
+//! schedule (property-tested in `tests/property_based.rs`, and checked
+//! against an independently loaded store there):
 //!
 //! * *Row index* — per-partition line-start lists are replayed in order
 //!   ([`nodb_posmap::RowIndex::note_rows`]); offsets are absolute, so
@@ -100,11 +103,10 @@
 //!   concatenating in partition order, then the usual install path
 //!   (subsumption, LRU, budget) runs once on the merged chunk.
 //! * *Cache* — workers buffer one value per row per requested attribute
-//!   (partial columns); the driver replays the sequential scan's exact
-//!   admission loop — row-major, attribute-interleaved, stopping a column
-//!   permanently at the first refused append — starting from the cache's
-//!   coverage at merge time, so budget/LRU behavior matches the sequential
-//!   scan decision for decision.
+//!   (partial columns); the driver replays one row-major,
+//!   attribute-interleaved admission loop — stopping a column permanently
+//!   at the first refused append — starting from the cache's coverage at
+//!   merge time, so budget/LRU decisions do not depend on the partitioning.
 //! * *Statistics* — observations are replayed from the buffered columns in
 //!   global row order under the same sampling stride, starting at each
 //!   attribute's observation frontier. Replay (not accumulator merging) is
@@ -116,11 +118,15 @@
 //!   tallies travel with the scan (not as global metric diffs), so
 //!   concurrent queries never misattribute each other's reads.
 //!
-//! The `cache_force_full_parse` ablation always runs sequentially (it
-//! exists to demonstrate a pathology, not to be fast). Under the strict
-//! parse-error policy a malformed row aborts the parallel scan without
-//! merging any side effects; the permissive policy instead tombstones the
-//! malformed cell as NULL and quarantines the row into telemetry.
+//! The `cache_force_full_parse` ablation is a worker flag like any other:
+//! workers additionally tokenize whole tuples and parse every unrequested
+//! attribute into side columns ([`ScanPrep::extra_attrs`]), and the merge
+//! offers those to the cache in the same admission loop, after the
+//! requested attributes of each row, each from its own cache coverage
+//! onward and only while contiguous with it. Under the strict parse-error
+//! policy a malformed row aborts the scan without merging any side
+//! effects; the permissive policy instead tombstones the malformed cell as
+//! NULL and quarantines the row into telemetry.
 //!
 //! ## Partial merge on cancellation
 //!
@@ -144,19 +150,15 @@ use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Duration;
 
 use nodb_engine::batch::{Batch, ColView, Column, SliceRow, BATCH_SIZE};
-use nodb_engine::{EngineError, EngineResult, ScanRequest, ScanSource};
+use nodb_engine::{EngineError, EngineResult, ScanRequest};
 use nodb_posmap::{AccessPlan, AttrSource, ChunkBuilder, LineCountMemo};
 use nodb_rawcache::TypedColumn;
-use nodb_rawcsv::reader::{
-    count_lines_in_range_ctl, partition_line_ranges_capped, BlockScanner, LineRange,
-};
-use nodb_rawcsv::tokenizer::{find_byte, Tokens};
-use nodb_rawcsv::{parser, Datum, IoCounters, RawCsvError};
+use nodb_rawcsv::reader::{count_lines_in_range_ctl, partition_line_ranges_capped, LineRange};
+use nodb_rawcsv::{Datum, IoCounters, RawCsvError};
 
-use crate::config::{NoDbConfig, ParseErrorPolicy};
+use crate::config::NoDbConfig;
 use crate::ctx::{QueryCtx, CHECK_STRIDE};
 use crate::epoch::SourceEpoch;
 use crate::metrics::{Breakdown, PhaseClock};
@@ -218,7 +220,7 @@ pub struct ScanTelemetry {
     /// and positional-map reads).
     pub precounted: bool,
     /// Partition slices executed by a worker other than their run's owner
-    /// (work stealing under skewed line widths). Always 0 for sequential
+    /// (work stealing under skewed line widths). Always 0 for one-worker
     /// scans and static partitioning.
     pub steals: u64,
     /// Rows with at least one malformed cell tombstoned under
@@ -301,13 +303,13 @@ pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 
 /// Shared handle to the telemetry a scan publishes when it finishes.
 ///
-/// `Arc<Mutex<…>>` rather than `Rc<RefCell<…>>`: the parallel scan path
-/// requires every scan-adjacent type to be `Send`, and the facade keeps its
-/// clone across the engine call. The lock is touched once per query.
+/// `Arc<Mutex<…>>` rather than `Rc<RefCell<…>>`: the scan workers require
+/// every scan-adjacent type to be `Send`, and the facade keeps its clone
+/// across the engine call. The lock is touched once per query.
 pub type TelemetryHandle = Arc<Mutex<ScanTelemetry>>;
 
-/// Selective tuple formation shared by the sequential scan, the partition
-/// workers and the cached streamer: evaluate the pushed predicate over the
+/// Selective tuple formation shared by the partition workers and the
+/// cached streamer: evaluate the pushed predicate over the
 /// resolved values and, if it passes, append one output row to `batch`
 /// (predicate-only columns stay NULL). Returns whether the row was formed.
 pub(crate) fn form_tuple_into(
@@ -442,15 +444,10 @@ pub(crate) struct ScanPrep {
     pub plan: Option<AccessPlan>,
     /// Whether this scan collects a new positional-map chunk.
     pub build_chunk: bool,
-    /// Row-count hint for chunk-builder preallocation.
-    pub rows_hint: usize,
     /// Cache coverage per requested position at plan time.
     pub cache_cov: Vec<usize>,
     /// LRU tick from `RawCache::begin_query` protecting this query's columns.
     pub query_tick: u64,
-    /// Statistics observation frontier per requested position at plan time
-    /// (the sequential streaming path observes only rows at or beyond it).
-    pub stats_frontier: Vec<u64>,
     /// Pure-cache fast path: every requested attribute covered for every
     /// known row.
     pub fully_cached: bool,
@@ -458,13 +455,13 @@ pub(crate) struct ScanPrep {
     pub cached_rows: u64,
     /// Row-partitioned (warm) mode is available.
     pub warm: bool,
-    /// Precomputed row-range partitions (warm mode, `threads >= 2` only).
+    /// Precomputed row-range partitions (warm mode only).
     pub warm_partitions: Vec<Partition>,
     /// Resolved worker count.
     pub threads: usize,
     /// Partition-slice target (`threads × steal granularity`).
     pub slice_target: usize,
-    /// A cold parallel scan should run the newline pre-count: the knob is
+    /// A cold scan should run the newline pre-count: the knob is
     /// on and there is state worth reusing mid-partition (partial cache
     /// coverage of a requested attribute, or a usable map chunk).
     pub precount: bool,
@@ -475,6 +472,10 @@ pub(crate) struct ScanPrep {
     /// Snapshot of the positional map's memoized newline counts, consulted
     /// lock-free by the pre-count pass.
     pub line_counts: LineCountMemo,
+    /// Unrequested attributes the `cache_force_full_parse` ablation parses
+    /// and offers to the cache (empty unless the ablation and the cache are
+    /// both on).
+    pub extra_attrs: Vec<usize>,
     /// File-state generation this prep belongs to.
     pub generation: u64,
     /// Raw file path (cold partitioning runs without any table lock).
@@ -531,16 +532,6 @@ pub(crate) fn prepare_scan(
     let map_usable = config.enable_positional_map && table.tokenizer.quote.is_none();
     let plan = map_usable.then(|| table.map.plan_access(&req.attrs));
     let build_chunk = matches!(&plan, Some(p) if p.should_index);
-    let rows_hint = table.map.row_index().len();
-
-    let stats_frontier: Vec<u64> = if config.enable_stats {
-        req.attrs
-            .iter()
-            .map(|&a| table.stats.observed_upto(a))
-            .collect()
-    } else {
-        vec![0; n]
-    };
 
     // Pure-cache fast path: every requested attribute covered for every
     // known row.
@@ -557,7 +548,7 @@ pub(crate) fn prepare_scan(
     let slice_target = config.scan_slice_target();
     let warm = plan.is_some() && table.map.row_index().is_complete() && table.row_count.is_some();
     let mut warm_partitions: Vec<Partition> = Vec::new();
-    if warm && threads >= 2 && !fully_cached {
+    if warm {
         let total = table.row_count.expect("warm mode") as usize;
         let idx = table.map.row_index();
         let parts = slice_target.min(total.max(1));
@@ -605,21 +596,27 @@ pub(crate) fn prepare_scan(
             None => true,
         };
     let has_reuse = cache_worthwhile || plan_assists;
-    let precount = config.cold_precount && has_reuse && !warm && !fully_cached && threads >= 2;
+    let precount = config.cold_precount && has_reuse && !warm && !fully_cached;
     let line_counts = if precount {
         table.map.line_counts().snapshot()
     } else {
         LineCountMemo::default()
     };
 
+    let extra_attrs: Vec<usize> = if config.enable_cache && config.cache_force_full_parse {
+        (0..table.schema.len())
+            .filter(|a| !req.attrs.contains(a))
+            .collect()
+    } else {
+        Vec::new()
+    };
+
     ScanPrep {
         req,
         plan,
         build_chunk,
-        rows_hint,
         cache_cov,
         query_tick,
-        stats_frontier,
         fully_cached,
         cached_rows,
         warm,
@@ -629,6 +626,7 @@ pub(crate) fn prepare_scan(
         precount,
         plan_assists,
         line_counts,
+        extra_attrs,
         generation: table.generation,
         path: table.path.clone(),
         has_header: table.has_header,
@@ -694,8 +692,7 @@ pub(crate) struct ColdScanPlan {
 /// Boundary counts are read from the prep's memo snapshot where available;
 /// only unknown slices are counted, concurrently on up to `prep.threads`
 /// threads — each reusing the scan's read-ahead pipeline
-/// (`config.io_readahead_blocks`) and pinned to a core when
-/// `config.pin_cores` asks for it. Runs without any table lock (it touches
+/// (`config.io_readahead_blocks`). Runs without any table lock (it touches
 /// only the raw file and the snapshot).
 pub(crate) fn plan_cold_partitions(
     prep: &ScanPrep,
@@ -755,17 +752,10 @@ pub(crate) fn plan_cold_partitions(
                     let mine = &missing[lo..hi];
                     let ranges = &ranges;
                     let path = &prep.path;
-                    let (io_block, readahead, pin) = (
-                        config.io_block_size,
-                        config.io_readahead_blocks,
-                        config.pin_cores,
-                    );
+                    let (io_block, readahead) = (config.io_block_size, config.io_readahead_blocks);
                     let profile = config.io_profile();
                     let interrupt = prep.ctx.stop_flag();
                     s.spawn(move || {
-                        if pin {
-                            crate::affinity::pin_current_thread(w);
-                        }
                         let mut out = Vec::with_capacity(mine.len());
                         for &i in mine {
                             let (lines, io) = count_lines_in_range_ctl(
@@ -864,21 +854,12 @@ fn claim_slice(
     }
 }
 
-/// Phase 2 of a parallel scan: run the partition slices on `prep.threads`
-/// workers over shared borrows of the table and collect the partials in
-/// slice order. Needs only `&RawTable`, so concurrent queries run this
-/// phase under the table's read lock.
-///
-/// Scheduling is a **work-stealing run queue**: each worker owns a
-/// contiguous run of slices (adjacent file regions, so a worker streams
-/// forward through the file like the static split did) and claims them via
-/// an atomic cursor; a worker whose run drains steals slices from the
-/// most-loaded peer. Which worker executes a slice never affects the
-/// output — partials are merged in slice order — so every steal
-/// interleaving produces the byte-identical post-scan state the merge
-/// invariants promise. Returns the outputs plus the number of stolen
-/// slices (telemetry).
-///
+/// Test hook: cancel scans of this file just before the given slice runs,
+/// so the partial merge is testable without timing races. Keyed by path so
+/// concurrently running tests that scan other files are unaffected.
+#[cfg(test)]
+pub(crate) static INJECT_CANCEL_AT_SLICE: Mutex<Option<(PathBuf, usize)>> = Mutex::new(None);
+
 /// What [`run_partitions`] hands back.
 pub(crate) struct ScanOutcome {
     /// Completed partition partials — all of them on success, the
@@ -890,6 +871,21 @@ pub(crate) struct ScanOutcome {
     pub stopped: Option<EngineError>,
 }
 
+/// Phase 2 of a scan: run the partition slices on `prep.threads` workers
+/// over shared borrows of the table and collect the partials in slice
+/// order. Needs only `&RawTable`, so concurrent queries run this phase
+/// under the table's read lock. One thread is one worker draining every
+/// slice in order.
+///
+/// Scheduling is a **work-stealing run queue**: each worker owns a
+/// contiguous run of slices (adjacent file regions, so a worker streams
+/// forward through the file like the static split did) and claims them via
+/// an atomic cursor; a worker whose run drains steals slices from the
+/// most-loaded peer. Which worker executes a slice never affects the
+/// output — partials are merged in slice order — so every steal
+/// interleaving produces the byte-identical post-scan state the merge
+/// invariants promise.
+///
 /// A worker error aborts the scan; the error reported is the
 /// lowest-numbered slice's. Cold-mode errors without a pre-count are
 /// rebased to global row numbers using the preceding slices' row counts
@@ -941,6 +937,7 @@ pub(crate) fn run_partitions(
         // A warm scan's row index is complete by definition — collecting
         // offsets there would only replay no-ops.
         collect_offsets: prep.plan.is_some() && !prep.warm,
+        extra_attrs: &prep.extra_attrs,
         source_len: prep.source_len(),
     };
 
@@ -963,12 +960,6 @@ pub(crate) fn run_partitions(
                 let (ctx, slots, bounds, cursors, steals) =
                     (&ctx, &slots, &bounds, &cursors, &steals);
                 s.spawn(move || {
-                    // Best-effort core pinning: worker w on core w (modulo
-                    // available cores), so workers stop migrating mid-scan.
-                    // Never load-bearing — pinning can silently fail.
-                    if ctx.config.pin_cores {
-                        crate::affinity::pin_current_thread(w);
-                    }
                     // Errors park in the slice's slot; the worker keeps
                     // draining so every lower-numbered slice completes and
                     // the driver can report the lowest-slice error with an
@@ -976,6 +967,13 @@ pub(crate) fn run_partitions(
                     while let Some((idx, stolen)) = claim_slice(w, cursors, bounds) {
                         if stolen {
                             steals.fetch_add(1, Ordering::Relaxed);
+                        }
+                        #[cfg(test)]
+                        if lock_recover(&INJECT_CANCEL_AT_SLICE)
+                            .as_ref()
+                            .is_some_and(|(path, at)| path == ctx.path && *at == idx)
+                        {
+                            ctx.ctx.cancel_token().cancel();
                         }
                         // Worker-panic containment: a panicking slice is
                         // converted to a structured error right here, so the
@@ -1071,49 +1069,64 @@ pub(crate) fn run_partitions(
     })
 }
 
-/// What [`merge_outputs`] hands back: the total rows scanned and the output
-/// batches ready for the engine.
-pub(crate) struct MergeInfo {
-    /// Data rows the scan visited.
-    pub total: usize,
-    /// Re-packed output batches in row order.
-    pub queue: VecDeque<Batch>,
+/// Concatenate per-partition partial columns in partition order (segment
+/// merge): one full column per attribute of `attrs`, addressed by global
+/// row. The first partition's columns are adopted as-is.
+fn concat_partials<'a>(
+    mut parts: impl Iterator<Item = &'a mut Vec<TypedColumn>>,
+    attrs: &[usize],
+    table: &RawTable,
+) -> Vec<TypedColumn> {
+    let mut full = parts.next().map(std::mem::take).unwrap_or_else(|| {
+        attrs
+            .iter()
+            .map(|&a| TypedColumn::new(table.schema.ty(a)))
+            .collect()
+    });
+    for part in parts {
+        for (col, seg) in full.iter_mut().zip(part.drain(..)) {
+            col.append_segment(seg);
+        }
+    }
+    full
 }
 
-/// Phase 3 of a parallel scan: merge the per-partition partials into the
-/// table's adaptive structures, in partition order, under the table's write
-/// lock, and publish the scan telemetry.
+/// The merge step of a raw scan: install the per-partition partials into
+/// the table's adaptive structures, in partition order, under the table's
+/// write lock, publish the scan telemetry, and hand back the output batches.
 ///
 /// Every sub-merge is **frontier-based** so interleaved queries converge to
 /// the sequential-replay state: the row index skips known rows, the chunk
 /// install goes through subsumption, cache admission replays from the
 /// cache's *current* coverage, and statistics replay only rows at or beyond
-/// each attribute's observation frontier. With exclusive access (the
-/// `scan_threads = 1` facade path or direct `RawScanSource` use) the
-/// frontiers equal the plan-time snapshots, reproducing the sequential scan
-/// decision for decision.
-/// `complete` is false when the scan stopped before EOF (cancellation /
-/// deadline) and `results` holds only the contiguous completed prefix of
-/// partitions: every frontier-based sub-merge still runs over that prefix,
-/// but the end-of-scan bookkeeping (`row_count`, `mark_complete`,
-/// `set_row_count`) is withheld — the file was not fully visited, so those
-/// totals are unknown. Statistics observation frontiers are still advanced
-/// over the merged prefix, so a re-run never double-observes.
+/// each attribute's observation frontier.
+///
+/// A stopped scan (`outcome.stopped`, cancellation or deadline) carries
+/// only the contiguous completed prefix of partitions: every
+/// frontier-based sub-merge still runs over that prefix, but the
+/// end-of-scan bookkeeping (`row_count`, `mark_complete`, `set_row_count`)
+/// is withheld — the file was not fully visited, so those totals are
+/// unknown. Statistics observation frontiers are still advanced over the
+/// merged prefix, so a re-run never double-observes. The stop error is
+/// returned after the merge.
 #[allow(clippy::too_many_arguments)] // phase boundary: each argument is one staged ingredient
 pub(crate) fn merge_outputs(
     table: &mut RawTable,
     config: &NoDbConfig,
     prep: &ScanPrep,
     cold: Option<&ColdScanPlan>,
-    steals: u64,
-    mut results: Vec<PartitionOutput>,
+    outcome: ScanOutcome,
     mut bd: Breakdown,
     telemetry: &TelemetryHandle,
     clock: &PhaseClock,
-    complete: bool,
-) -> MergeInfo {
-    // Ordered merge. Timed as NoDB-structure maintenance, like the
-    // sequential scan's chunk install.
+) -> EngineResult<VecDeque<Batch>> {
+    let ScanOutcome {
+        outputs: mut results,
+        steals,
+        stopped,
+    } = outcome;
+    let complete = stopped.is_none();
+    // Ordered merge, timed as NoDB-structure maintenance.
     let t = clock.start();
     let n = prep.req.attrs.len();
     let bases: Vec<usize> = results
@@ -1192,41 +1205,47 @@ pub(crate) fn merge_outputs(
         installed = table.map.install(merged).is_some();
     }
 
-    // Side columns: concatenate the per-partition partial cache columns in
-    // partition order (segment merge) — one full column per requested
-    // attribute, addressed by global row below.
-    let collect_side = config.enable_cache || config.enable_stats;
-    let side: Vec<TypedColumn> = if collect_side {
-        let mut it = results.iter_mut();
-        let mut side = it
-            .next()
-            .map(|o| std::mem::take(&mut o.side_cols))
-            .unwrap_or_else(|| {
-                prep.req
-                    .attrs
-                    .iter()
-                    .map(|&a| TypedColumn::new(table.schema.ty(a)))
-                    .collect()
-            });
-        for o in it {
-            for (full, seg) in side.iter_mut().zip(o.side_cols.drain(..)) {
-                full.append_segment(seg);
-            }
-        }
-        side
+    // Side columns: one full column per requested attribute, plus (under
+    // the force-full-parse ablation) one per unrequested attribute.
+    let side: Vec<TypedColumn> = if config.enable_cache || config.enable_stats {
+        concat_partials(
+            results.iter_mut().map(|o| &mut o.side_cols),
+            &prep.req.attrs,
+            table,
+        )
     } else {
         Vec::new()
     };
+    let extra: Vec<TypedColumn> = if prep.extra_attrs.is_empty() {
+        Vec::new()
+    } else {
+        concat_partials(
+            results.iter_mut().map(|o| &mut o.extra_cols),
+            &prep.extra_attrs,
+            table,
+        )
+    };
 
-    // Cache: replay the sequential admission loop — row-major,
+    // Cache: one admission loop — row-major,
     // attribute-interleaved, a column stopping permanently at its first
     // refused append — so budget/LRU decisions are identical. The admission
     // frontier is the cache's coverage *now*: rows another interleaved
-    // query already admitted are skipped, never appended twice.
+    // query already admitted are skipped, never appended twice. Ablation
+    // columns follow the requested ones in each row and are admitted only
+    // while contiguous with their cached prefix: they are not protected by
+    // the query tick, so a refusal or an eviction ends them for this scan.
     if config.enable_cache {
         table.cache.record_reads(worker_hits, worker_misses);
+        let attrs: Vec<usize> = prep
+            .req
+            .attrs
+            .iter()
+            .chain(&prep.extra_attrs)
+            .copied()
+            .collect();
+        let cols: Vec<&TypedColumn> = side.iter().chain(&extra).collect();
         if total > 0 {
-            let mut next = table.cache.coverage_of(&prep.req.attrs);
+            let mut next = table.cache.coverage_of(&attrs);
             let mut row = next
                 .iter()
                 .copied()
@@ -1250,17 +1269,19 @@ pub(crate) fn merge_outputs(
                     }
                 }
                 for (i, slot) in next.iter_mut().enumerate() {
-                    if *slot == row {
-                        let d = side[i].datum(row).unwrap_or(Datum::Null);
-                        let ty = table.schema.ty(prep.req.attrs[i]);
-                        if table
-                            .cache
-                            .append(prep.req.attrs[i], ty, &d, prep.query_tick)
-                        {
-                            *slot += 1;
-                        } else {
-                            *slot = usize::MAX;
-                        }
+                    if *slot != row {
+                        continue;
+                    }
+                    if i >= n && table.cache.coverage(attrs[i]) != row {
+                        *slot = usize::MAX;
+                        continue;
+                    }
+                    let d = cols[i].datum(row).unwrap_or(Datum::Null);
+                    let ty = table.schema.ty(attrs[i]);
+                    if table.cache.append(attrs[i], ty, &d, prep.query_tick) {
+                        *slot += 1;
+                    } else {
+                        *slot = usize::MAX;
                     }
                 }
                 row += 1;
@@ -1292,8 +1313,8 @@ pub(crate) fn merge_outputs(
         }
     }
 
-    // End-of-scan bookkeeping (the sequential scan's `finish`) — withheld
-    // on a partial merge, where `total` is a prefix, not the file.
+    // End-of-scan bookkeeping — withheld on a partial merge, where `total`
+    // is a prefix, not the file.
     if complete {
         table.row_count = Some(total as u64);
         if prep.plan.is_some() {
@@ -1345,12 +1366,43 @@ pub(crate) fn merge_outputs(
     tel.rows_quarantined = quarantined;
     tel.quarantine_samples = quarantine_samples;
     tel.stopped_early = !complete;
-
-    MergeInfo { total, queue }
+    match stopped {
+        Some(stop) => Err(stop),
+        None => Ok(queue),
+    }
 }
 
-/// Run a prepared scan against a shared table handle: partitioned workers
-/// under the read lock, frontier-based merge under a short write lock.
+/// The lock-free partitioning step of a raw scan. Warm row ranges were
+/// captured at prepare time (`None` here); cold byte partitioning — and
+/// the newline pre-count, when triggered — probes only the raw file and
+/// the prep's memo snapshot, so it needs no table lock.
+fn partition_cold(
+    prep: &ScanPrep,
+    config: &NoDbConfig,
+    clock: &PhaseClock,
+    bd: &mut Breakdown,
+) -> EngineResult<Option<ColdScanPlan>> {
+    if prep.warm {
+        return Ok(None);
+    }
+    let t = clock.start();
+    let cp = check_stop(&prep.ctx, plan_cold_partitions(prep, config))?;
+    clock.lap(t, &mut bd.io);
+    Ok(Some(cp))
+}
+
+/// The partitions a scan runs: the cold plan's byte slices, or the warm
+/// row ranges captured at prepare time.
+fn partitions_of<'a>(prep: &'a ScanPrep, cold: Option<&'a ColdScanPlan>) -> &'a [Partition] {
+    match cold {
+        Some(cp) => &cp.partitions,
+        None => &prep.warm_partitions,
+    }
+}
+
+/// Run a prepared raw scan against a shared table handle: partitioning
+/// with no lock, the workers under the read lock, the epoch re-validation
+/// with no lock, and the frontier-based merge under a short write lock.
 ///
 /// Returns `Ok(None)` when the table's file-state generation moved past
 /// `prep.generation` (an append or replacement was reconciled while no lock
@@ -1364,28 +1416,13 @@ pub(crate) fn scan_shared(
 ) -> EngineResult<Option<VecDeque<Batch>>> {
     let clock = PhaseClock::new(config.detailed_timing);
     let mut bd = Breakdown::default();
-    // Partitioning. Warm row ranges were captured at prepare time; cold
-    // byte partitioning (and the newline pre-count, when triggered) probes
-    // only the raw file and the prep's memo snapshot — no table lock.
-    let cold = if prep.warm {
-        None
-    } else {
-        let t = clock.start();
-        let cp = check_stop(&prep.ctx, plan_cold_partitions(prep, config))?;
-        clock.lap(t, &mut bd.io);
-        Some(cp)
-    };
-    let partitions: &[Partition] = match &cold {
-        Some(cp) => &cp.partitions,
-        None => &prep.warm_partitions,
-    };
-
+    let cold = partition_cold(prep, config, &clock, &mut bd)?;
     let outcome = {
         let table = handle.read();
         if table.generation != prep.generation {
             return Ok(None);
         }
-        run_partitions(&table, config, prep, partitions)?
+        run_partitions(&table, config, prep, partitions_of(prep, cold.as_ref()))?
     };
     // Re-validate the epoch before *any* merge — including a stopped
     // scan's partial-prefix merge — so a file rewritten while the workers
@@ -1401,37 +1438,58 @@ pub(crate) fn scan_shared(
             None => Ok(None),
         };
     }
-    // A stopped scan still merges its completed prefix (partial merge, see
-    // module docs) before failing the query: the next identical query
-    // starts from the warmer map/cache/statistics state.
-    let complete = outcome.stopped.is_none();
-    let info = merge_outputs(
+    merge_outputs(
         &mut table,
         config,
         prep,
         cold.as_ref(),
-        outcome.steals,
-        outcome.outputs,
+        outcome,
         bd,
         telemetry,
         &clock,
-        complete,
-    );
-    match outcome.stopped {
-        Some(stop) => Err(stop),
-        None => Ok(Some(info.queue)),
+    )
+    .map(Some)
+}
+
+/// Run a prepared scan on a table the caller holds exclusively (the
+/// facade's stale-plan fallback, which keeps the write lock from planning
+/// to merge so the plan cannot go stale again): the same stages as
+/// [`stream_cached_shared`] and [`scan_shared`], minus the lock changes.
+pub(crate) fn scan_exclusive(
+    table: &mut RawTable,
+    config: &NoDbConfig,
+    prep: &ScanPrep,
+    telemetry: &TelemetryHandle,
+) -> EngineResult<VecDeque<Batch>> {
+    if prep.fully_cached {
+        // Planned under this same lock, so every column is still resident;
+        // a raw scan below stays correct even if one were not.
+        if let Some((queue, hits)) = stream_cached(table, config, prep)? {
+            table.cache.record_reads(hits, 0);
+            publish_cached(telemetry, prep, hits);
+            return Ok(queue);
+        }
     }
+    let clock = PhaseClock::new(config.detailed_timing);
+    let mut bd = Breakdown::default();
+    let cold = partition_cold(prep, config, &clock, &mut bd)?;
+    let outcome = run_partitions(table, config, prep, partitions_of(prep, cold.as_ref()))?;
+    revalidate_epoch(prep)?;
+    merge_outputs(
+        table,
+        config,
+        prep,
+        cold.as_ref(),
+        outcome,
+        bd,
+        telemetry,
+        &clock,
+    )
 }
 
 /// Serve a fully-cached query from a shared table handle under the read
 /// lock, tallying hits locally and folding them into the cache metrics
 /// under a short write lock at the end.
-///
-/// With `config.vectorized_exec` the cache segments cross into the engine
-/// typed ([`cached_segment_batch`]): columnar predicate kernels, selection
-/// vectors, no per-cell `Datum` boxing. Otherwise the original row-at-a-time
-/// loop runs byte-for-byte (the ablation arm). Hit accounting is identical
-/// either way: one hit per requested attribute per cached row.
 ///
 /// Returns `Ok(None)` when the generation moved or a concurrent eviction
 /// dropped a column the plan relied on — the caller re-prepares (the next
@@ -1442,15 +1500,43 @@ pub(crate) fn stream_cached_shared(
     prep: &ScanPrep,
     telemetry: &TelemetryHandle,
 ) -> EngineResult<Option<VecDeque<Batch>>> {
+    let streamed = stream_cached(&handle.read(), config, prep)?;
+    let Some((queue, hits)) = streamed else {
+        return Ok(None);
+    };
+    handle.write().cache.record_reads(hits, 0);
+    publish_cached(telemetry, prep, hits);
+    Ok(Some(queue))
+}
+
+/// Publish a fully-cached scan's telemetry.
+fn publish_cached(telemetry: &TelemetryHandle, prep: &ScanPrep, hits: u64) {
+    let mut tel = lock_recover(telemetry);
+    tel.rows_scanned = prep.cached_rows;
+    tel.cache_hits = hits;
+}
+
+/// The fully-cached scan body: every batch straight from the cache, plus
+/// the hit tally (one hit per requested attribute per cached row). `None`
+/// when the prep is stale: the generation moved or a needed column is no
+/// longer resident.
+///
+/// With `config.vectorized_exec` the cache segments cross into the engine
+/// typed ([`cached_segment_batch`]): columnar predicate kernels, selection
+/// vectors, no per-cell `Datum` boxing. Otherwise the row-at-a-time loop
+/// runs (the ablation arm).
+fn stream_cached(
+    table: &RawTable,
+    config: &NoDbConfig,
+    prep: &ScanPrep,
+) -> EngineResult<Option<(VecDeque<Batch>, u64)>> {
+    if table.generation != prep.generation {
+        return Ok(None);
+    }
     let n = prep.req.attrs.len();
     let total = prep.cached_rows as usize;
     let mut queue: VecDeque<Batch> = VecDeque::new();
-    let hits;
     if config.vectorized_exec {
-        let table = handle.read();
-        if table.generation != prep.generation {
-            return Ok(None);
-        }
         let Some(cols) = cached_column_handles(&table.cache, &prep.req.attrs, total) else {
             return Ok(None);
         };
@@ -1466,782 +1552,41 @@ pub(crate) fn stream_cached_shared(
             }
             lo = hi;
         }
-        hits = (total * n) as u64;
-    } else {
-        let mut batch = Batch::with_columns(n);
-        let mut values: Vec<Option<Datum>> = vec![None; n];
-        let mut pred_row: Vec<Datum> = Vec::with_capacity(n);
-        let mut tally = 0u64;
-        {
-            let table = handle.read();
-            if table.generation != prep.generation {
+        return Ok(Some((queue, (total * n) as u64)));
+    }
+    let mut batch = Batch::with_columns(n);
+    let mut values: Vec<Option<Datum>> = vec![None; n];
+    let mut pred_row: Vec<Datum> = Vec::with_capacity(n);
+    let mut hits = 0u64;
+    for row in 0..total {
+        if (row as u64).is_multiple_of(CHECK_STRIDE) {
+            prep.ctx.check()?;
+        }
+        for (i, v) in values.iter_mut().enumerate() {
+            *v = table.cache.peek(prep.req.attrs[i], row);
+            if v.is_none() {
                 return Ok(None);
             }
-            for row in 0..total {
-                if (row as u64).is_multiple_of(CHECK_STRIDE) {
-                    prep.ctx.check()?;
-                }
-                for (i, v) in values.iter_mut().enumerate() {
-                    *v = table.cache.peek(prep.req.attrs[i], row);
-                    if v.is_none() {
-                        return Ok(None);
-                    }
-                    tally += 1;
-                }
-                form_tuple_into(&prep.req, &mut values, &mut pred_row, &mut batch);
-                if batch.rows() >= BATCH_SIZE {
-                    queue.push_back(std::mem::replace(&mut batch, Batch::with_columns(n)));
-                }
-            }
+            hits += 1;
         }
-        if !batch.is_empty() {
-            queue.push_back(batch);
-        }
-        hits = tally;
-    }
-    handle.write().cache.record_reads(hits, 0);
-    let mut tel = lock_recover(telemetry);
-    tel.rows_scanned = prep.cached_rows;
-    tel.cache_hits = hits;
-    Ok(Some(queue))
-}
-
-/// The adaptive raw scan over an exclusively borrowed table.
-///
-/// This is the `scan_threads = 1` streaming path (kept byte-for-byte for
-/// fallback and A/B benchmarking), the `cache_force_full_parse` ablation,
-/// and the exclusive-fallback path of the concurrent facade. The
-/// parallel-scan driver inside delegates to the same [`run_partitions`] /
-/// [`merge_outputs`] stages the shared path uses.
-pub struct RawScanSource<'a> {
-    table: &'a mut RawTable,
-    config: NoDbConfig,
-    prep: ScanPrep,
-    telemetry: TelemetryHandle,
-    bd: Breakdown,
-
-    /// Chunk under collection (sequential streaming path).
-    builder: Option<ChunkBuilder>,
-    /// Next row appendable to the cache, per position (`usize::MAX` = stop).
-    cache_next: Vec<usize>,
-    /// Cache metric snapshots for per-query hit/miss reporting (exclusive
-    /// access makes the delta exact).
-    hits0: u64,
-    misses0: u64,
-
-    // Streaming state.
-    scanner: Option<BlockScanner>,
-    header_skipped: bool,
-    row: usize,
-    done: bool,
-    /// Byte offset of the current line's start (for quarantine samples).
-    cur_offset: u64,
-    /// Rows with a tombstoned malformed cell (permissive policy).
-    quarantined: u64,
-    quarantine_samples: Vec<QuarantineSample>,
-    /// Buffered result batches of a completed parallel scan, drained by
-    /// `next_batch`. `Some` once the parallel driver has run.
-    parallel_queue: Option<VecDeque<Batch>>,
-
-    // Reused per-row buffers (workhorse pattern: zero allocation per row in
-    // the common paths).
-    tokens: Tokens,
-    values: Vec<Option<Datum>>,
-    spans: Vec<Option<(u32, u32)>>,
-    offsets_buf: Vec<(usize, u32)>,
-    pred_row: Vec<Datum>,
-    line_buf: Vec<u8>,
-
-    clock: PhaseClock,
-}
-
-impl<'a> RawScanSource<'a> {
-    /// Plan and prepare a scan of `table` for `req` under `config`.
-    ///
-    /// This performs the paper's up-front access planning: cache coverage
-    /// probes, positional-map access plan (with its LRU touch and
-    /// combination-trigger decision), and chunk-builder setup.
-    pub fn new(
-        table: &'a mut RawTable,
-        config: NoDbConfig,
-        req: ScanRequest,
-        telemetry: TelemetryHandle,
-    ) -> Self {
-        let ctx = QueryCtx::from_timeout_ms(config.query_timeout_ms);
-        let prep = prepare_scan(table, &config, req, &telemetry, ctx);
-        Self::from_prep(table, config, prep, telemetry)
-    }
-
-    /// Build the scan from an already-taken [`ScanPrep`] (the facade runs
-    /// `prepare_scan` itself under the table's write lock so planning
-    /// happens exactly once per query regardless of execution path).
-    pub(crate) fn from_prep(
-        table: &'a mut RawTable,
-        config: NoDbConfig,
-        prep: ScanPrep,
-        telemetry: TelemetryHandle,
-    ) -> Self {
-        let n = prep.req.attrs.len();
-        let cache_next = prep.cache_cov.clone();
-        let (hits0, misses0) = {
-            let m = table.cache.metrics();
-            (m.hits, m.misses)
-        };
-        RawScanSource {
-            table,
-            config,
-            telemetry,
-            bd: Breakdown::default(),
-            builder: None,
-            cache_next,
-            hits0,
-            misses0,
-            scanner: None,
-            header_skipped: false,
-            row: 0,
-            done: false,
-            cur_offset: 0,
-            quarantined: 0,
-            quarantine_samples: Vec::new(),
-            parallel_queue: None,
-            tokens: Tokens::new(),
-            values: vec![None; n],
-            spans: vec![None; n],
-            offsets_buf: Vec::with_capacity(n),
-            pred_row: Vec::with_capacity(n),
-            line_buf: Vec::new(),
-            clock: PhaseClock::new(config.detailed_timing),
-            prep,
+        form_tuple_into(&prep.req, &mut values, &mut pred_row, &mut batch);
+        if batch.rows() >= BATCH_SIZE {
+            queue.push_back(std::mem::replace(&mut batch, Batch::with_columns(n)));
         }
     }
-
-    /// Resolve the values of every requested position for the current row's
-    /// raw line, filling `self.values` (cache first, then map-assisted raw
-    /// access), and recording spans for map population.
-    fn resolve_row(&mut self, line: &[u8]) -> EngineResult<()> {
-        let n = self.prep.req.attrs.len();
-        let row = self.row;
-        let mut d_tok = Duration::ZERO;
-        let mut d_parse = Duration::ZERO;
-        let mut d_conv = Duration::ZERO;
-        let mut d_nodb = Duration::ZERO;
-
-        for i in 0..n {
-            self.values[i] = None;
-            self.spans[i] = None;
-        }
-
-        // 1. Cache reads.
-        if self.config.enable_cache {
-            for i in 0..n {
-                if row < self.prep.cache_cov[i] {
-                    self.values[i] = self.table.cache.get(self.prep.req.attrs[i], row);
-                }
-            }
-        }
-
-        // 2. Exact positional-map jumps for positions the cache missed.
-        let mut missing_lo: Option<usize> = None;
-        let mut missing_hi: Option<usize> = None;
-        for i in 0..n {
-            if self.values[i].is_some() {
-                continue;
-            }
-            if let Some(plan) = &self.prep.plan {
-                if let Some(AttrSource::Exact { chunk }) = plan.source_for(self.prep.req.attrs[i]) {
-                    if let Some(off) = self.table.map.offset_in(chunk, self.prep.req.attrs[i], row)
-                    {
-                        let t = self.clock.start();
-                        let start = (off as usize).min(line.len());
-                        let end = find_byte(&line[start..], self.table.tokenizer.delimiter)
-                            .map(|p| start + p)
-                            .unwrap_or(line.len());
-                        self.spans[i] = Some((start as u32, end as u32));
-                        self.clock.lap(t, &mut d_parse);
-                        continue;
-                    }
-                }
-            }
-            missing_lo = missing_lo.or(Some(i));
-            missing_hi = Some(i);
-        }
-
-        // 3. Tokenize for the positions still missing.
-        if let (Some(lo), Some(hi)) = (missing_lo, missing_hi) {
-            let t = self.clock.start();
-            let first_attr = self.prep.req.attrs[lo];
-            let last_attr = self.prep.req.attrs[hi];
-            let upto = if self.config.selective_tokenizing {
-                last_attr
-            } else {
-                usize::MAX // Baseline: tokenize the full tuple.
-            };
-            // Best anchor: the largest attribute < first_attr whose start we
-            // already resolved this row, else the plan's anchor chunk.
-            let mut anchor: Option<(usize, usize)> = None; // (attr, byte)
-            for i in (0..lo).rev() {
-                if let Some((s, _)) = self.spans[i] {
-                    anchor = Some((self.prep.req.attrs[i], s as usize));
-                    break;
-                }
-            }
-            if anchor.is_none() {
-                if let Some(plan) = &self.prep.plan {
-                    if let Some(AttrSource::Anchor { chunk, anchor_attr }) =
-                        plan.source_for(first_attr)
-                    {
-                        if let Some(off) = self.table.map.offset_in(chunk, anchor_attr, row) {
-                            anchor = Some((anchor_attr, off as usize));
-                        }
-                    }
-                }
-            }
-            match anchor {
-                Some((attr, off)) if self.config.selective_tokenizing && off <= line.len() => {
-                    self.table
-                        .tokenizer
-                        .tokenize_from(line, attr, off, upto, &mut self.tokens);
-                }
-                _ => {
-                    self.table
-                        .tokenizer
-                        .tokenize_selective(line, upto, &mut self.tokens);
-                }
-            }
-            for i in lo..=hi {
-                if self.values[i].is_some() || self.spans[i].is_some() {
-                    continue;
-                }
-                if let Some(span) = self.tokens.get(self.prep.req.attrs[i]) {
-                    self.spans[i] = Some((span.start, span.end));
-                }
-            }
-            self.clock.lap(t, &mut d_tok);
-        }
-
-        // 4. Selective parsing: convert only what is needed.
-        {
-            let t = self.clock.start();
-            let mut quarantined_attr: Option<usize> = None;
-            for i in 0..n {
-                if self.values[i].is_some() {
-                    continue;
-                }
-                let attr = self.prep.req.attrs[i];
-                let ty = self.table.schema.ty(attr);
-                let d = match self.spans[i] {
-                    Some((s, e)) => {
-                        let raw = &line[s as usize..e as usize];
-                        match self.table.tokenizer.quote {
-                            // Quoted string fields keep `""` escapes in
-                            // their spans; unescape when materializing.
-                            Some(q) if ty == nodb_rawcsv::ColumnType::Str && raw.contains(&q) => {
-                                Datum::Str(parser::unescape_quoted(raw, q).into_boxed_str())
-                            }
-                            _ => match parser::parse_field(raw, ty, row as u64, attr) {
-                                Ok(d) => d,
-                                // Permissive policy: tombstone the malformed
-                                // cell exactly like a short row's absent
-                                // attribute, so cache/stats/map state stays
-                                // byte-identical across cold and warm runs.
-                                Err(RawCsvError::ParseField { .. })
-                                    if self.config.parse_errors == ParseErrorPolicy::Permissive =>
-                                {
-                                    quarantined_attr.get_or_insert(attr);
-                                    Datum::Null
-                                }
-                                Err(e) => return Err(e.into()),
-                            },
-                        }
-                    }
-                    // Short row: attribute absent → NULL.
-                    None => Datum::Null,
-                };
-                self.values[i] = Some(d);
-            }
-            if let Some(attr) = quarantined_attr {
-                self.quarantined += 1;
-                if self.quarantine_samples.len() < QuarantineSample::MAX_SAMPLES {
-                    self.quarantine_samples.push(QuarantineSample {
-                        row: row as u64,
-                        offset: self.cur_offset,
-                        attr,
-                    });
-                }
-            }
-            self.clock.lap(t, &mut d_conv);
-        }
-
-        // 5. Side effects: cache population, statistics, map collection.
-        {
-            let t = self.clock.start();
-            if self.config.enable_cache {
-                for i in 0..n {
-                    if self.cache_next[i] == row {
-                        let d = self.values[i].clone().unwrap_or(Datum::Null);
-                        let ty = self.table.schema.ty(self.prep.req.attrs[i]);
-                        if self.table.cache.append(
-                            self.prep.req.attrs[i],
-                            ty,
-                            &d,
-                            self.prep.query_tick,
-                        ) {
-                            self.cache_next[i] += 1;
-                        } else {
-                            self.cache_next[i] = usize::MAX;
-                        }
-                    }
-                }
-            }
-            if self.config.enable_stats && self.table.stats.should_sample(row as u64) {
-                for i in 0..n {
-                    // Observation frontier: rows an earlier scan already fed
-                    // into the accumulators are not observed again.
-                    if (row as u64) < self.prep.stats_frontier[i] {
-                        continue;
-                    }
-                    if let Some(d) = &self.values[i] {
-                        self.table.stats.attr_mut(self.prep.req.attrs[i]).observe(d);
-                    }
-                }
-            }
-            if let Some(b) = &mut self.builder {
-                self.offsets_buf.clear();
-                for i in 0..n {
-                    if let Some((s, _)) = self.spans[i] {
-                        self.offsets_buf.push((self.prep.req.attrs[i], s));
-                    }
-                }
-                b.push_row_offsets(&self.offsets_buf);
-            }
-            self.clock.lap(t, &mut d_nodb);
-        }
-
-        // Ablation: force-parse and cache every remaining attribute of the
-        // tuple (the behaviour §3.2 explicitly rejects).
-        if self.config.enable_cache && self.config.cache_force_full_parse {
-            let t = self.clock.start();
-            self.force_full_parse(line, row)?;
-            self.clock.lap(t, &mut d_nodb);
-        }
-
-        self.bd.tokenizing += d_tok;
-        self.bd.parsing += d_parse;
-        self.bd.convert += d_conv;
-        self.bd.nodb += d_nodb;
-        Ok(())
+    if !batch.is_empty() {
+        queue.push_back(batch);
     }
-
-    /// The `cache_force_full_parse` ablation: tokenize and parse the whole
-    /// tuple, caching attributes the query never asked for.
-    fn force_full_parse(&mut self, line: &[u8], row: usize) -> EngineResult<()> {
-        let nattrs = self.table.schema.len();
-        self.table.tokenizer.tokenize_into(line, &mut self.tokens);
-        for attr in 0..nattrs {
-            if self.prep.req.attrs.contains(&attr) {
-                continue; // already handled
-            }
-            if self.table.cache.coverage(attr) != row {
-                continue; // not contiguous; skip
-            }
-            let d = match self.tokens.get(attr) {
-                Some(span) => match parser::parse_field(
-                    span.of(line),
-                    self.table.schema.ty(attr),
-                    row as u64,
-                    attr,
-                ) {
-                    Ok(d) => d,
-                    // Permissive: tombstone, keeping the ablation's cache
-                    // contents consistent with what a requested-attr scan
-                    // would have admitted. Not counted as a quarantined row
-                    // (the attribute was never requested).
-                    Err(RawCsvError::ParseField { .. })
-                        if self.config.parse_errors == ParseErrorPolicy::Permissive =>
-                    {
-                        Datum::Null
-                    }
-                    Err(e) => return Err(e.into()),
-                },
-                None => Datum::Null,
-            };
-            let ty = self.table.schema.ty(attr);
-            self.table.cache.append(attr, ty, &d, self.prep.query_tick);
-        }
-        Ok(())
-    }
-
-    /// Form output tuples for one resolved row into `batch` if the pushed
-    /// predicate accepts it (selective tuple formation).
-    fn form_tuple(&mut self, batch: &mut Batch) {
-        form_tuple_into(&self.prep.req, &mut self.values, &mut self.pred_row, batch);
-    }
-
-    /// End-of-scan bookkeeping: install the collected chunk, record counts,
-    /// absorb I/O counters, publish telemetry.
-    fn finish(&mut self, reached_eof: bool) {
-        if reached_eof && !self.prep.fully_cached {
-            self.table.row_count = Some(self.row as u64);
-            if self.prep.plan.is_some() {
-                self.table.map.row_index_mut().mark_complete();
-            }
-            if self.config.enable_stats {
-                self.table.stats.set_row_count(self.row as u64);
-                for &attr in &self.prep.req.attrs {
-                    self.table.stats.advance_observed(attr, self.row as u64);
-                }
-            }
-        }
-        let mut installed = false;
-        if let Some(b) = self.builder.take() {
-            let t = self.clock.start();
-            installed = self.table.map.install(b).is_some();
-            self.clock.lap(t, &mut self.bd.nodb);
-        }
-        let io = self
-            .scanner
-            .as_mut()
-            .map(BlockScanner::take_counters)
-            .unwrap_or_default();
-        let cache_hits = self.table.cache.metrics().hits - self.hits0;
-        let cache_misses = self.table.cache.metrics().misses - self.misses0;
-        let mut tel = lock_recover(&self.telemetry);
-        tel.io.merge(io);
-        tel.rows_scanned = self.row as u64;
-        tel.installed_chunk = installed;
-        tel.breakdown = self.bd;
-        tel.cache_hits = cache_hits;
-        tel.cache_misses = cache_misses;
-        tel.rows_quarantined = self.quarantined;
-        tel.quarantine_samples = std::mem::take(&mut self.quarantine_samples);
-        self.done = true;
-    }
-
-    /// End-of-scan bookkeeping for a scan stopped mid-stream by its query
-    /// context: the sequential analogue of the parallel partial merge. Rows
-    /// `[0, self.row)` were fully processed — their cache appends and
-    /// statistics observations already happened inline — so the collected
-    /// chunk prefix is installed and the statistics observation frontier is
-    /// advanced over the visited prefix (a re-run must not double-observe),
-    /// while the EOF bookkeeping (`row_count`, `mark_complete`,
-    /// `set_row_count`) is withheld.
-    fn finish_cancelled(&mut self) {
-        if self.config.enable_stats {
-            for (i, &attr) in self.prep.req.attrs.iter().enumerate() {
-                // The streaming loop only observes rows at or beyond the
-                // plan-time frontier; advance from whichever is further.
-                let upto = (self.row as u64).max(self.prep.stats_frontier[i]);
-                self.table.stats.advance_observed(attr, upto);
-            }
-        }
-        self.finish(false);
-        lock_recover(&self.telemetry).stopped_early = true;
-    }
-
-    /// Stream one batch from the raw file.
-    fn next_streaming_batch(&mut self) -> EngineResult<Option<Batch>> {
-        let mut d_io = Duration::ZERO;
-        if self.scanner.is_none() {
-            let t = self.clock.start();
-            let mut scanner = BlockScanner::open_with_profile(
-                &self.table.path,
-                self.config.io_block_size,
-                self.config.io_readahead_blocks,
-                self.config.io_profile(),
-            )?;
-            scanner.set_interrupt(self.prep.ctx.stop_flag());
-            if let Some(fence) = self.prep.source_len() {
-                // Bound read-ahead at the torn-row fence; the loop below
-                // enforces the fence on line offsets (the cap alone is
-                // soft — it caps read-ahead, not the scan).
-                scanner.set_read_cap(fence);
-            }
-            self.clock.lap(t, &mut d_io);
-            self.scanner = Some(scanner);
-            // The chunk builder is created here, not in `from_prep`: the
-            // streaming loop is its only consumer (the parallel driver
-            // merges per-worker builders instead), so allocating it up
-            // front would waste `attrs × rows_hint` capacity on every
-            // parallel chunk-building scan.
-            if self.prep.build_chunk {
-                self.builder = Some(ChunkBuilder::with_capacity(
-                    self.prep.req.attrs.clone(),
-                    self.prep.rows_hint,
-                ));
-            }
-        }
-
-        let n = self.prep.req.attrs.len();
-        let mut batch = Batch::with_columns(n);
-        let mut reached_eof = false;
-        loop {
-            // Cooperative cancellation, at the same stride the partition
-            // workers use. A stopped scan installs its partial state (the
-            // sequential partial merge) before surfacing the error.
-            if (self.row as u64).is_multiple_of(CHECK_STRIDE) {
-                if let Err(e) = self.prep.ctx.check() {
-                    self.bd.io += d_io;
-                    self.finish_cancelled();
-                    return Err(e);
-                }
-            }
-            // Pull one line (timed as I/O, including newline discovery).
-            // The line is copied into a reusable buffer so the borrow on the
-            // scanner's block does not pin `self`.
-            let t = self.clock.start();
-            let (line_meta, short_end): (Option<u64>, bool) = {
-                let scanner = self.scanner.as_mut().expect("scanner open");
-                let fetched = match scanner.next_line() {
-                    Ok(Some(l)) => {
-                        self.line_buf.clear();
-                        self.line_buf.extend_from_slice(l.bytes);
-                        Some(l.offset)
-                    }
-                    Ok(None) => None,
-                    Err(e) => {
-                        // A tripped interrupt flag surfaces as a wrapped
-                        // read error; report the structured cause instead.
-                        self.bd.io += d_io;
-                        if self.prep.ctx.is_stopped() {
-                            let stop = self.prep.ctx.stop_error();
-                            self.finish_cancelled();
-                            return Err(stop);
-                        }
-                        return Err(e.into());
-                    }
-                };
-                // Mid-scan truncation probe, checked after *every* fetch: a
-                // cut mid-line surfaces a bogus final unterminated line
-                // before EOF (catch it before parsing garbage), and a cut
-                // exactly on a newline boundary is only discovered by the
-                // empty refill after the last complete line.
-                let short = match self.prep.source_len() {
-                    Some(fence) => scanner.at_eof() && scanner.position() < fence,
-                    None => false,
-                };
-                (fetched, short)
-            };
-            self.clock.lap(t, &mut d_io);
-            if short_end {
-                self.bd.io += d_io;
-                return Err(source_changed_err(&self.prep));
-            }
-            let Some(offset) = line_meta else {
-                reached_eof = true;
-                break;
-            };
-            if let Some(fence) = self.prep.source_len() {
-                // Bytes at or past the fence belong to the next epoch (a
-                // torn trailing row, or rows appended since capture): stop
-                // as if at EOF — the next query replays them from the
-                // advanced fence.
-                if offset >= fence {
-                    reached_eof = true;
-                    break;
-                }
-            }
-            if self.table.has_header && !self.header_skipped {
-                self.header_skipped = true;
-                continue;
-            }
-            if self.prep.plan.is_some() {
-                self.table.map.row_index_mut().note_row(self.row, offset);
-            }
-            self.cur_offset = offset;
-            let line = std::mem::take(&mut self.line_buf);
-            let r = self.resolve_row(&line);
-            self.line_buf = line;
-            r?;
-            self.form_tuple(&mut batch);
-            self.row += 1;
-            if batch.rows() >= BATCH_SIZE {
-                break;
-            }
-        }
-        self.bd.io += d_io;
-        if reached_eof {
-            // Same post-scan re-validation as the parallel paths, before
-            // the EOF bookkeeping installs the chunk and row count. The
-            // inline cache/stats side effects already happened — that is
-            // fine: the error reaches the facade, which quarantines the
-            // table before its cold retry.
-            revalidate_epoch(&self.prep)?;
-            self.finish(true);
-        }
-        Ok(if batch.is_empty() { None } else { Some(batch) })
-    }
-
-    /// The parallel driver for an exclusively borrowed table: partition the
-    /// file, fan out via [`run_partitions`], merge via [`merge_outputs`]
-    /// (the same stages the shared-handle path uses). Fills
-    /// `self.parallel_queue`; the ordinary `next_batch` path then drains
-    /// the queue.
-    fn run_parallel(&mut self) -> EngineResult<()> {
-        let mut bd = std::mem::take(&mut self.bd);
-        let cold = if self.prep.warm {
-            None
-        } else {
-            let t = self.clock.start();
-            let cp = match check_stop(
-                &self.prep.ctx,
-                plan_cold_partitions(&self.prep, &self.config),
-            ) {
-                Ok(cp) => cp,
-                Err(e) => {
-                    self.bd = bd;
-                    self.done = true;
-                    self.parallel_queue = Some(VecDeque::new());
-                    return Err(e);
-                }
-            };
-            self.clock.lap(t, &mut bd.io);
-            Some(cp)
-        };
-        let partitions: &[Partition] = match &cold {
-            Some(cp) => &cp.partitions,
-            None => &self.prep.warm_partitions,
-        };
-
-        let outcome = match run_partitions(self.table, &self.config, &self.prep, partitions)
-            .and_then(|o| {
-                // Re-validate the epoch before any merge — a mid-scan
-                // rewrite must not install poisoned partials (same fence as
-                // the shared-handle path).
-                revalidate_epoch(&self.prep)?;
-                Ok(o)
-            }) {
-            Ok(o) => o,
-            Err(e) => {
-                self.bd = bd;
-                self.done = true;
-                self.parallel_queue = Some(VecDeque::new());
-                return Err(e);
-            }
-        };
-
-        // A stopped scan still merges its completed prefix (partial merge)
-        // before failing, exactly like the shared-handle path.
-        let complete = outcome.stopped.is_none();
-        let info = merge_outputs(
-            self.table,
-            &self.config,
-            &self.prep,
-            cold.as_ref(),
-            outcome.steals,
-            outcome.outputs,
-            bd,
-            &self.telemetry,
-            &self.clock,
-            complete,
-        );
-        self.row = info.total;
-        self.done = true;
-        match outcome.stopped {
-            Some(stop) => {
-                self.parallel_queue = Some(VecDeque::new());
-                Err(stop)
-            }
-            None => {
-                self.parallel_queue = Some(info.queue);
-                Ok(())
-            }
-        }
-    }
-
-    /// Serve one batch purely from the cache.
-    fn next_cached_batch(&mut self) -> EngineResult<Option<Batch>> {
-        let total = self.prep.cached_rows as usize;
-        let n = self.prep.req.attrs.len();
-        if self.config.vectorized_exec {
-            // Typed segments + columnar filter; see `cached_segment_batch`.
-            // A fully-filtered segment must not end the stream, so loop
-            // until a non-empty batch or exhaustion.
-            while self.row < total {
-                // Pure cache reads mutate nothing: stopping needs no
-                // partial-state bookkeeping.
-                self.prep.ctx.check()?;
-                let lo = self.row;
-                let hi = total.min(lo + BATCH_SIZE);
-                let batch = match cached_column_handles(&self.table.cache, &self.prep.req.attrs, hi)
-                {
-                    Some(cols) => cached_segment_batch(&self.prep.req, &cols, lo, hi),
-                    // Exclusive access makes eviction impossible mid-scan,
-                    // but stay total: fall back to row-at-a-time reads.
-                    None => break,
-                };
-                self.row = hi;
-                // Same accounting as the row-wise loop's per-value `get`s.
-                self.table.cache.record_reads(((hi - lo) * n) as u64, 0);
-                if !batch.is_empty() {
-                    if self.row >= total {
-                        self.finish(false);
-                    }
-                    return Ok(Some(batch));
-                }
-            }
-            if self.row >= total {
-                self.finish(false);
-                return Ok(None);
-            }
-        }
-        let mut batch = Batch::with_columns(n);
-        self.prep.ctx.check()?;
-        while self.row < total && batch.rows() < BATCH_SIZE {
-            let row = self.row;
-            self.row += 1;
-            for i in 0..n {
-                self.values[i] = self.table.cache.get(self.prep.req.attrs[i], row);
-            }
-            self.form_tuple(&mut batch);
-        }
-        if self.row >= total {
-            self.finish(false);
-        }
-        Ok(if batch.is_empty() { None } else { Some(batch) })
-    }
-}
-
-impl ScanSource for RawScanSource<'_> {
-    fn next_batch(&mut self) -> EngineResult<Option<Batch>> {
-        if let Some(q) = self.parallel_queue.as_mut() {
-            return Ok(q.pop_front());
-        }
-        if self.done {
-            return Ok(None);
-        }
-        if self.prep.fully_cached {
-            return self.next_cached_batch();
-        }
-        // The ablation that force-parses whole tuples stays sequential: it
-        // exists to demonstrate a pathology, not to be fast.
-        if self.prep.threads >= 2 && !self.config.cache_force_full_parse {
-            self.run_parallel()?;
-            let q = self.parallel_queue.as_mut().expect("parallel scan ran");
-            return Ok(q.pop_front());
-        }
-        self.next_streaming_batch()
-    }
-
-    fn size_hint(&self) -> Option<usize> {
-        // Staged parallel output counts exactly; otherwise the known row
-        // count (cache coverage or posmap line count) is an upper bound the
-        // executor uses for pre-sizing.
-        if let Some(q) = &self.parallel_queue {
-            return Some(q.iter().map(Batch::rows).sum());
-        }
-        if self.prep.fully_cached {
-            return Some(self.prep.cached_rows as usize);
-        }
-        (self.prep.rows_hint > 0).then_some(self.prep.rows_hint)
-    }
+    Ok(Some((queue, hits)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ParseErrorPolicy;
     use crate::table::RawTable;
     use nodb_rawcsv::GeneratorConfig;
-    use std::path::PathBuf;
+    use std::time::Duration;
 
     fn tmp_csv(cols: usize, rows: u64, seed: u64) -> (PathBuf, nodb_rawcsv::Schema) {
         let mut p = std::env::temp_dir();
@@ -2257,14 +1602,25 @@ mod tests {
         (p, cfg.schema())
     }
 
-    fn drain(src: &mut RawScanSource<'_>) -> Vec<Vec<Datum>> {
-        let mut out = Vec::new();
-        while let Some(b) = src.next_batch().unwrap() {
-            for r in 0..b.rows() {
-                out.push(b.row(r));
-            }
-        }
-        out
+    /// Drive one scan through the single staged path on an exclusively
+    /// held table — plan, partition workers, merge — surfacing the scan
+    /// error instead of unwrapping, for the failure-path tests.
+    fn try_scan_once(
+        table: &mut RawTable,
+        config: NoDbConfig,
+        req: ScanRequest,
+        ctx: QueryCtx,
+    ) -> (EngineResult<Vec<Vec<Datum>>>, ScanTelemetry) {
+        let tel: TelemetryHandle = Arc::new(Mutex::new(ScanTelemetry::default()));
+        let prep = prepare_scan(table, &config, req, &tel, ctx);
+        let r = scan_exclusive(table, &config, &prep, &tel).map(|queue| {
+            queue
+                .iter()
+                .flat_map(|b| (0..b.rows()).map(|r| b.row(r)))
+                .collect()
+        });
+        let t = Arc::try_unwrap(tel).unwrap().into_inner().unwrap();
+        (r, t)
     }
 
     fn scan_once(
@@ -2272,13 +1628,8 @@ mod tests {
         config: NoDbConfig,
         req: ScanRequest,
     ) -> (Vec<Vec<Datum>>, ScanTelemetry) {
-        let tel: TelemetryHandle = Arc::new(Mutex::new(ScanTelemetry::default()));
-        let rows = {
-            let mut src = RawScanSource::new(table, config, req, Arc::clone(&tel));
-            drain(&mut src)
-        };
-        let t = Arc::try_unwrap(tel).unwrap().into_inner().unwrap();
-        (rows, t)
+        let (r, t) = try_scan_once(table, config, req, QueryCtx::unbounded());
+        (r.unwrap(), t)
     }
 
     #[test]
@@ -2435,6 +1786,28 @@ mod tests {
     }
 
     #[test]
+    fn force_full_parse_is_partition_independent() {
+        // The ablation runs on the partition workers like any scan: what it
+        // caches for unrequested attributes must not depend on the thread
+        // count, also when the budget cuts admission short.
+        for budget in [1usize << 30, 2_000] {
+            assert_parallel_matches_sequential(
+                5,
+                400,
+                29,
+                4,
+                move |t| NoDbConfig {
+                    scan_threads: t,
+                    cache_force_full_parse: true,
+                    cache_budget_bytes: budget,
+                    ..NoDbConfig::default()
+                },
+                &[ScanRequest::project(vec![1]), ScanRequest::project(vec![3])],
+            );
+        }
+    }
+
+    #[test]
     fn header_rows_are_skipped() {
         let mut p = std::env::temp_dir();
         p.push(format!(
@@ -2457,7 +1830,7 @@ mod tests {
         std::fs::remove_file(p).unwrap();
     }
 
-    /// Scan the same table twice — `scan_threads = 1` vs `threads` — against
+    /// Scan the same file with one worker and with `threads` workers, on
     /// two freshly registered tables, and assert identical results and
     /// identical post-scan adaptive state.
     fn assert_parallel_matches_sequential(
@@ -2489,8 +1862,8 @@ mod tests {
         assert_eq!(t_seq.row_count, t_par.row_count);
         // Hit/miss telemetry matches in warm (row-partitioned) mode *and*,
         // since the two-phase pre-count, in cold byte-partitioned mode:
-        // pre-counted workers know their global rows and read the cache
-        // exactly where the sequential scan would.
+        // pre-counted workers know their global rows and read the cache at
+        // the same rows whatever the partitioning.
         assert_eq!(
             t_seq.cache.metrics().hits,
             t_par.cache.metrics().hits,
@@ -2579,10 +1952,10 @@ mod tests {
     }
 
     #[test]
-    fn pinned_readahead_scan_matches_sequential_state() {
-        // Core pinning and read-ahead are pure scheduling/overlap knobs:
-        // cold scan, then a warm rescan, must leave state byte-identical to
-        // the unpinned synchronous sequential scan.
+    fn readahead_scan_matches_sequential_state() {
+        // Read-ahead is a pure overlap knob: cold scan, then a warm rescan,
+        // must leave state byte-identical to the synchronous one-worker
+        // scan.
         assert_parallel_matches_sequential(
             5,
             800,
@@ -2590,7 +1963,6 @@ mod tests {
             4,
             |t| NoDbConfig {
                 scan_threads: t,
-                pin_cores: t > 1,
                 io_readahead_blocks: if t > 1 { 8 } else { 0 },
                 ..NoDbConfig::default()
             },
@@ -2755,16 +2127,15 @@ mod tests {
                 ..NoDbConfig::default()
             };
             let mut t = RawTable::register(&p, schema.clone(), false, &cfg).unwrap();
-            let tel: TelemetryHandle = Arc::new(Mutex::new(ScanTelemetry::default()));
-            let mut src = RawScanSource::new(&mut t, cfg, ScanRequest::project(vec![0]), tel);
-            let err = loop {
-                match src.next_batch() {
-                    Ok(Some(_)) => continue,
-                    Ok(None) => panic!("scan must fail on the malformed row"),
-                    Err(e) => break e,
-                }
-            };
-            let msg = err.to_string();
+            let (r, _) = try_scan_once(
+                &mut t,
+                cfg,
+                ScanRequest::project(vec![0]),
+                QueryCtx::unbounded(),
+            );
+            let msg = r
+                .expect_err("scan must fail on the malformed row")
+                .to_string();
             assert!(
                 msg.contains("row 700"),
                 "threads={threads}: error must name the global row, got: {msg}"
@@ -2814,15 +2185,13 @@ mod tests {
                     ..NoDbConfig::default()
                 };
                 let mut t = RawTable::register(&p, schema.clone(), header, &cfg).unwrap();
-                let tel: TelemetryHandle = Arc::new(Mutex::new(ScanTelemetry::default()));
-                let mut src = RawScanSource::new(&mut t, cfg, ScanRequest::project(vec![0]), tel);
-                let err = loop {
-                    match src.next_batch() {
-                        Ok(Some(_)) => continue,
-                        Ok(None) => panic!("{label}: scan must fail"),
-                        Err(e) => break e,
-                    }
-                };
+                let (r, _) = try_scan_once(
+                    &mut t,
+                    cfg,
+                    ScanRequest::project(vec![0]),
+                    QueryCtx::unbounded(),
+                );
+                let err = r.err().unwrap_or_else(|| panic!("{label}: scan must fail"));
                 texts.push(err.to_string());
             }
             assert_eq!(
@@ -3107,35 +2476,6 @@ mod tests {
         std::fs::remove_file(p).unwrap();
     }
 
-    /// `scan_once` variant that surfaces the scan error instead of
-    /// unwrapping, for the failure-path tests.
-    fn try_scan_once(
-        table: &mut RawTable,
-        config: NoDbConfig,
-        req: ScanRequest,
-        ctx: QueryCtx,
-    ) -> (EngineResult<Vec<Vec<Datum>>>, ScanTelemetry) {
-        let tel: TelemetryHandle = Arc::new(Mutex::new(ScanTelemetry::default()));
-        let r = {
-            let prep = prepare_scan(table, &config, req, &tel, ctx);
-            let mut src = RawScanSource::from_prep(table, config, prep, Arc::clone(&tel));
-            let mut out = Vec::new();
-            loop {
-                match src.next_batch() {
-                    Ok(Some(b)) => {
-                        for r in 0..b.rows() {
-                            out.push(b.row(r));
-                        }
-                    }
-                    Ok(None) => break Ok(out),
-                    Err(e) => break Err(e),
-                }
-            }
-        };
-        let t = Arc::try_unwrap(tel).unwrap().into_inner().unwrap();
-        (r, t)
-    }
-
     #[test]
     fn worker_panic_is_contained_and_table_stays_usable() {
         let (p, schema) = tmp_csv(4, 400, 21);
@@ -3144,14 +2484,14 @@ mod tests {
             ..NoDbConfig::default()
         };
         let mut t = RawTable::register(&p, schema, false, &cfg).unwrap();
-        worker::INJECT_WORKER_PANIC.store(true, Ordering::Relaxed);
+        *lock_recover(&worker::INJECT_WORKER_PANIC) = Some(p.clone());
         let (r, _) = try_scan_once(
             &mut t,
             cfg,
             ScanRequest::project(vec![0, 2]),
             QueryCtx::unbounded(),
         );
-        worker::INJECT_WORKER_PANIC.store(false, Ordering::Relaxed);
+        *lock_recover(&worker::INJECT_WORKER_PANIC) = None;
         match r {
             Err(EngineError::WorkerPanic { partition, message }) => {
                 assert_eq!(partition, 0, "lowest failed slice reported");
@@ -3261,34 +2601,26 @@ mod tests {
     }
 
     #[test]
-    fn cancel_token_stops_streaming_scan_with_partial_state() {
-        // Sequential path, cancel after the first batch: the partial chunk
-        // and cache prefix must be installed and the frontier advanced.
+    fn cancel_token_stops_scan_with_partial_state() {
+        // One worker, cancelled just before its third slice: the completed
+        // slices' chunk and cache prefix must be installed and the
+        // statistics frontier advanced, with the EOF bookkeeping withheld.
         let (p, schema) = tmp_csv(3, 5000, 23);
         let cfg = NoDbConfig {
             scan_threads: 1,
+            steal_slices_per_thread: 4,
             ..NoDbConfig::default()
         };
         let mut t = RawTable::register(&p, schema, false, &cfg).unwrap();
-        let tel: TelemetryHandle = Arc::new(Mutex::new(ScanTelemetry::default()));
-        let ctx = QueryCtx::unbounded();
-        let token = ctx.cancel_token();
-        let err = {
-            let prep = prepare_scan(&mut t, &cfg, ScanRequest::project(vec![1]), &tel, ctx);
-            let mut src = RawScanSource::from_prep(&mut t, cfg, prep, Arc::clone(&tel));
-            let first = src.next_batch().unwrap();
-            assert!(first.is_some(), "first batch before cancellation");
-            token.cancel();
-            loop {
-                match src.next_batch() {
-                    Ok(Some(_)) => continue,
-                    Ok(None) => panic!("scan finished despite cancellation"),
-                    Err(e) => break e,
-                }
-            }
-        };
-        assert!(matches!(err, EngineError::Cancelled), "got {err:?}");
-        let stopped_tel = Arc::try_unwrap(tel).unwrap().into_inner().unwrap();
+        *lock_recover(&INJECT_CANCEL_AT_SLICE) = Some((p.clone(), 2));
+        let (r, stopped_tel) = try_scan_once(
+            &mut t,
+            cfg,
+            ScanRequest::project(vec![1]),
+            QueryCtx::unbounded(),
+        );
+        *lock_recover(&INJECT_CANCEL_AT_SLICE) = None;
+        assert!(matches!(r, Err(EngineError::Cancelled)), "got {r:?}");
         assert!(stopped_tel.stopped_early);
         let visited = stopped_tel.rows_scanned;
         assert!(

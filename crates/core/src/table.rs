@@ -5,7 +5,7 @@ use std::path::{Path, PathBuf};
 
 use nodb_posmap::{MapPolicy, PositionalMap};
 use nodb_rawcache::{CachePolicy, RawCache};
-use nodb_rawcsv::reader::{fnv1a, FileChange};
+use nodb_rawcsv::reader::fnv1a;
 use nodb_rawcsv::tokenizer::TokenizerConfig;
 use nodb_rawcsv::{RawCsvError, Schema};
 use nodb_snapshot::TableSnapshot;
@@ -28,8 +28,9 @@ pub enum RestoreOutcome {
         appended: bool,
     },
     /// The sidecar was unusable (corrupt, truncated, version-skewed, or
-    /// the file was replaced since capture); the table starts cold. The
-    /// string says why, for telemetry and logs — never for control flow.
+    /// the file was truncated or rewritten since capture); the table starts
+    /// cold. The string says why, for telemetry and logs — never for
+    /// control flow.
     Rejected(String),
 }
 
@@ -200,15 +201,16 @@ impl RawTable {
             Ok(None) => return RestoreOutcome::NoSidecar,
             Err(e) => return RestoreOutcome::Rejected(e.to_string()),
         };
-        // Compare the *saved* fingerprint against the live file. Replaced
-        // (shrunk, head changed, or same-length different-mtime) means the
-        // snapshot describes dead data: reject wholesale.
-        let change = match snap.meta.classify_change(&self.path) {
+        // Classify the live file against the *saved* epoch with the same
+        // decision tree query-time update detection uses. A truncation or
+        // rewrite (head, old tail region or same-length mtime changed)
+        // means the snapshot describes dead data: reject wholesale.
+        let change = match snap.epoch.classify(&self.path) {
             Ok(c) => c,
             Err(e) => return RestoreOutcome::Rejected(format!("fingerprint probe: {e}")),
         };
-        if change == FileChange::Replaced {
-            return RestoreOutcome::Rejected("file replaced since capture".to_string());
+        if change.invalidates() {
+            return RestoreOutcome::Rejected(format!("file changed since capture: {change:?}"));
         }
         // Mid-mutation fence: decoding the sidecar took time, and the
         // decision above compared the *sidecar's* fingerprint against a
@@ -238,7 +240,7 @@ impl RawTable {
                 self.stats = stats;
             }
         }
-        let appended = matches!(change, FileChange::Appended { .. });
+        let appended = matches!(change, EpochChange::Appended { .. });
         if appended {
             // Mirror `check_updates`: keep prefix state, re-learn the tail.
             self.map.note_appended();
@@ -258,7 +260,7 @@ impl RawTable {
     /// map/cache/statistics mutually consistent.
     pub fn capture_snapshot(&self) -> TableSnapshot {
         TableSnapshot::capture(
-            self.epoch.meta,
+            self.epoch,
             self.row_count,
             &self.map,
             &self.cache,

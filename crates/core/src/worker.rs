@@ -1,5 +1,6 @@
-//! The per-partition scan worker of the parallel raw scan.
+//! The per-partition scan worker: the one place raw rows are resolved.
 //!
+//! Every raw scan, at every thread count, runs through [`run_partition`].
 //! One worker owns one [`LineRange`] of the file and everything it needs to
 //! process it without synchronization: its own [`RangeScanner`] (with its
 //! own read-ahead pipeline when `io_readahead_blocks > 0`), a reusable
@@ -8,7 +9,7 @@
 //! timing. All shared state is borrowed immutably ([`ScanContext`]); the
 //! mutable merge into the table's positional map, cache and statistics
 //! happens on the driver thread afterwards (`rawscan`), in partition order,
-//! so the post-scan state is identical to a sequential scan.
+//! so the post-scan state is identical for every partitioning.
 //!
 //! The worker is deliberately a plain function over `Send + Sync` borrows —
 //! no `Rc`/`RefCell` — so it can run under `std::thread::scope`.
@@ -33,11 +34,13 @@ use crate::ctx::{QueryCtx, CHECK_STRIDE};
 use crate::metrics::{Breakdown, PhaseClock};
 use crate::rawscan::QuarantineSample;
 
-/// Test hook: make the next `run_partition` call panic, to exercise the
-/// worker-boundary `catch_unwind` containment without a contrived schema.
+/// Test hook: make `run_partition` panic on scans of this file, to
+/// exercise the worker-boundary `catch_unwind` containment without a
+/// contrived schema. Keyed by path so concurrently running tests that scan
+/// other files are unaffected.
 #[cfg(test)]
-pub(crate) static INJECT_WORKER_PANIC: std::sync::atomic::AtomicBool =
-    std::sync::atomic::AtomicBool::new(false);
+pub(crate) static INJECT_WORKER_PANIC: std::sync::Mutex<Option<std::path::PathBuf>> =
+    std::sync::Mutex::new(None);
 
 /// Convert a scanner error into the structured stop error when the query
 /// context tripped mid-read: a cancelled refill surfaces as a wrapped "scan
@@ -85,6 +88,9 @@ pub(crate) struct ScanContext<'a> {
     pub build_chunk: bool,
     /// Record line-start offsets for the shared row index.
     pub collect_offsets: bool,
+    /// The `cache_force_full_parse` ablation: unrequested attributes to
+    /// parse from every row into [`PartitionOutput::extra_cols`].
+    pub extra_attrs: &'a [usize],
     /// The source epoch's torn-row fence (`None` when `detect_updates` is
     /// off): workers clamp their partition range to it and treat an EOF
     /// before it as a mid-scan truncation ([`EngineError::SourceChanged`]).
@@ -124,13 +130,16 @@ pub(crate) struct PartitionOutput {
     /// Per requested attribute: every row's value, in partition row order
     /// (empty unless `collect_side`).
     pub side_cols: Vec<TypedColumn>,
+    /// Per [`ScanContext::extra_attrs`] entry: every row's value, in
+    /// partition row order (empty unless the ablation is on).
+    pub extra_cols: Vec<TypedColumn>,
     /// Partial positional-map chunk over this partition's rows.
     pub builder: Option<ChunkBuilder>,
     /// Predicate-filtered output batches, in row order.
     pub batches: Vec<Batch>,
     /// Cache reads served / refused via `RawCache::peek` (workers cannot
     /// take `&mut` to count on the shared metrics; the driver folds these
-    /// in at merge so hit/miss telemetry matches a sequential scan).
+    /// in at merge so hit/miss telemetry is exact for every partitioning).
     pub cache_hits: u64,
     pub cache_misses: u64,
     pub breakdown: Breakdown,
@@ -148,7 +157,7 @@ pub(crate) fn run_partition(
     part: Partition,
 ) -> EngineResult<PartitionOutput> {
     #[cfg(test)]
-    if INJECT_WORKER_PANIC.load(std::sync::atomic::Ordering::Relaxed) {
+    if crate::rawscan::lock_recover(&INJECT_WORKER_PANIC).as_deref() == Some(ctx.path) {
         panic!("injected worker panic (test hook)");
     }
     let n = ctx.req.attrs.len();
@@ -163,12 +172,13 @@ pub(crate) fn run_partition(
     // slices, or cold slices after a pre-count) and every requested
     // attribute cached for every row of it, the raw file has nothing left
     // to offer — serve the partition straight from the cache, zero I/O.
-    // Skipped when the scan collects row offsets or a map chunk (those need
-    // the raw line bytes), so the partition-local partials stay identical
-    // to what the streaming loop would have produced.
+    // Skipped when the scan collects row offsets, a map chunk or ablation
+    // columns (those need the raw line bytes), so the partition-local
+    // partials stay identical to what a raw pass would have produced.
     if let (Some(base), Some(rows), Some(cache)) = (part.row_base, part.rows, ctx.cache) {
         if !ctx.collect_offsets
             && !ctx.build_chunk
+            && ctx.extra_attrs.is_empty()
             && cache.covers_range(&ctx.req.attrs, base, base + rows)
         {
             return run_cached_partition(ctx, base, rows, cache, &clock);
@@ -212,6 +222,11 @@ pub(crate) fn run_partition(
         } else {
             Vec::new()
         },
+        extra_cols: ctx
+            .extra_attrs
+            .iter()
+            .map(|&a| TypedColumn::new(ctx.schema.ty(a)))
+            .collect(),
         builder: ctx
             .build_chunk
             .then(|| ChunkBuilder::new(ctx.req.attrs.clone())),
@@ -224,7 +239,7 @@ pub(crate) fn run_partition(
         quarantine_samples: Vec::new(),
     };
 
-    // Per-row reusable buffers (the sequential scan's workhorse pattern).
+    // Per-row reusable buffers (zero allocation per row).
     let mut tokens = Tokens::new();
     let mut values: Vec<Option<Datum>> = vec![None; n];
     let mut spans: Vec<Option<(u32, u32)>> = vec![None; n];
@@ -291,7 +306,7 @@ pub(crate) fn run_partition(
         };
         // The fused pass does the tokenizing work inside the line fetch, so
         // its time lands in the tokenizing slice; the plain path's fetch is
-        // pure I/O + newline discovery, as in the sequential scan.
+        // pure I/O + newline discovery.
         clock.lap(t, if fused { &mut d_tok } else { &mut d_io });
         // Mid-scan truncation detection, gated on the fence so legacy mode
         // (`detect_updates` off) stays byte-identical. Both probes are
@@ -358,11 +373,41 @@ pub(crate) fn run_partition(
                 }
                 b.push_row_offsets(&offsets_buf);
             }
+            if !ctx.extra_attrs.is_empty() {
+                // Ablation: parse the whole tuple and keep the attributes
+                // the query never asked for (what §3.2 rejects).
+                let row = part.row_base.map(|b| b + local).unwrap_or(local) as u64;
+                ctx.tokenizer.tokenize_into(&line_buf, &mut tokens);
+                for (col, &attr) in out.extra_cols.iter_mut().zip(ctx.extra_attrs) {
+                    let d = match tokens.get(attr) {
+                        Some(span) => {
+                            match parser::parse_field(
+                                span.of(&line_buf),
+                                ctx.schema.ty(attr),
+                                row,
+                                attr,
+                            ) {
+                                Ok(d) => d,
+                                // Permissive: tombstone, not counted as a
+                                // quarantined row (never requested).
+                                Err(RawCsvError::ParseField { .. })
+                                    if ctx.config.parse_errors == ParseErrorPolicy::Permissive =>
+                                {
+                                    Datum::Null
+                                }
+                                Err(e) => return Err(e.into()),
+                            }
+                        }
+                        None => Datum::Null,
+                    };
+                    col.push(&d);
+                }
+            }
             clock.lap(t, &mut d_nodb);
         }
 
-        // Selective tuple formation (the exact code the sequential scan and
-        // the cached streamer run).
+        // Selective tuple formation (the exact code the cached streamer
+        // runs).
         crate::rawscan::form_tuple_into(ctx.req, &mut values, &mut pred_row, &mut batch);
         if batch.rows() >= BATCH_SIZE {
             out.batches
@@ -391,7 +436,7 @@ pub(crate) fn run_partition(
 /// or, with `vectorized_exec`, the typed-segment path
 /// (`rawscan::cached_segment_batch`): columnar predicate, selection vector,
 /// side columns exported as whole typed segments. The output rows are
-/// exactly what the streaming loop would have produced — minus the I/O.
+/// exactly what a raw pass would have produced — minus the I/O.
 fn run_cached_partition(
     ctx: &ScanContext<'_>,
     base: usize,
@@ -411,6 +456,7 @@ fn run_cached_partition(
         rows,
         line_starts: Vec::new(),
         side_cols: Vec::new(),
+        extra_cols: Vec::new(),
         builder: None,
         batches: Vec::new(),
         cache_hits: 0,
@@ -485,8 +531,8 @@ fn run_cached_partition(
 }
 
 /// Resolve every requested position of one row: cache reads and exact
-/// positional-map jumps (warm mode), then tokenizing for the rest, then
-/// selective parsing. Mirrors the sequential scan's `resolve_row` with the
+/// positional-map jumps (when global rows are known), then tokenizing for
+/// the rest, then selective parsing — the paper's §3 steps 1–4, with the
 /// shared state behind immutable borrows.
 ///
 /// Returns `Some(attr)` when [`ParseErrorPolicy::Permissive`] tombstoned at
@@ -517,8 +563,7 @@ fn resolve_row(
 
     // 1. Cache reads (global rows addressable: warm mode, or cold mode
     // after a pre-count). Workers cannot count on the shared metrics, so
-    // hits/misses are tallied here and folded in by the driver — same
-    // accounting as sequential `get`.
+    // hits/misses are tallied here and folded in by the driver.
     if let Some(row) = global_row {
         for (i, v) in values.iter_mut().enumerate() {
             if row < ctx.cache_cov[i] {
@@ -557,8 +602,8 @@ fn resolve_row(
     }
 
     // 3. Tokenize for the positions still missing. On the fused path the
-    // spans were already produced during line splitting; otherwise run the
-    // sequential scan's selective/resumable tokenizing.
+    // spans were already produced during line splitting; otherwise run
+    // selective/resumable tokenizing.
     if let (Some(lo), Some(hi)) = (missing_lo, missing_hi) {
         if !fused {
             let t = clock.start();

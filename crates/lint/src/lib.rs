@@ -37,9 +37,6 @@ const CAST_SCOPED_CRATES: &[&str] = &[
     "crates/rawcsv/",
     "crates/rawcache/",
     "crates/snapshot/",
-    // The source-epoch fingerprint: head/tail window sizes and the
-    // torn-row fence are u64 byte offsets narrowed for buffer allocation.
-    "crates/core/src/epoch.rs",
 ];
 
 /// Result of a workspace lint run.

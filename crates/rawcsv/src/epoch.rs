@@ -27,7 +27,7 @@ Three guarantees hang off it:
   row; no scanner ever reads past `trusted_len`, so half-written bytes
   are invisible until their terminator lands — at which point the next
   epoch probe classifies them as a plain append and replays them. The
-  corollary (documented in the crate-level error taxonomy): while update
+  corollary (documented in nodb-core's error taxonomy): while update
   detection is on, a final line with no trailing newline is not served
   until a newline terminates it — a row exists once it is terminated.
 "]
@@ -35,13 +35,12 @@ Three guarantees hang off it:
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
+use std::time::Duration;
 
-use nodb_rawcsv::reader::{fnv1a, RawFileMeta};
-use nodb_rawcsv::{RawCsvError, Result};
+use crate::reader::{fnv1a, RawFileMeta};
+use crate::{RawCsvError, Result};
 
-/// Bytes of file head covered by the epoch's head hash (matches
-/// [`RawFileMeta::probe`]'s default window, so snapshot fingerprints and
-/// epochs agree byte-for-byte on the head).
+/// Bytes of file head covered by the epoch's head hash.
 pub const EPOCH_HEAD_LIMIT: u64 = 4096;
 
 /// Bytes of file tail covered by the epoch's tail hash.
@@ -59,14 +58,21 @@ const MAX_FENCE_SCAN: u64 = 1 << 20;
 /// sub-millisecond cadence to exhaust this.
 const CAPTURE_ATTEMPTS: u32 = 8;
 
+/// Pause before the second capture attempt, doubling per attempt (about
+/// 13 ms in total). A writer flushing row by row changes the file for a
+/// few milliseconds at a stretch; back-to-back attempts would all land
+/// inside such a burst.
+const CAPTURE_BACKOFF: Duration = Duration::from_micros(100);
+
 /// Fingerprint of one version ("epoch") of a raw source file.
 ///
-/// `meta` is byte-compatible with the snapshot sidecar's
-/// [`RawFileMeta`] fingerprint — the snapshot format is unchanged; an
-/// epoch is that fingerprint plus a tail sample and the torn-row fence.
+/// An epoch is the [`RawFileMeta`] fingerprint plus a tail sample and the
+/// torn-row fence. Snapshot sidecars persist the whole epoch, so a restore
+/// after a restart classifies the live file with the same decision tree
+/// ([`Self::classify`]) that query-time update detection uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SourceEpoch {
-    /// Length, mtime, and sampled-head hash (the snapshot fingerprint).
+    /// Length, mtime, and sampled-head hash.
     pub meta: RawFileMeta,
     /// Number of tail bytes covered by `tail_hash` (`min(len, 4096)`).
     pub tail_len: u64,
@@ -124,13 +130,17 @@ impl SourceEpoch {
     /// one version of the file. A writer racing the capture (the file
     /// shrinking between the stat and a read, or the post-read stat
     /// disagreeing with the first) restarts the attempt, up to
-    /// [`CAPTURE_ATTEMPTS`] times; only a file mutating continuously
-    /// faster than a few page reads makes this fail.
+    /// [`CAPTURE_ATTEMPTS`] times with a growing pause between attempts;
+    /// only a file mutating continuously for longer than the pauses add up
+    /// to makes this fail.
     pub fn capture(path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref();
-        for _ in 0..CAPTURE_ATTEMPTS {
+        for attempt in 0..CAPTURE_ATTEMPTS {
             if let Some(epoch) = Self::capture_once(path)? {
                 return Ok(epoch);
+            }
+            if attempt + 1 < CAPTURE_ATTEMPTS {
+                std::thread::sleep(CAPTURE_BACKOFF * (1 << attempt));
             }
         }
         Err(RawCsvError::io(

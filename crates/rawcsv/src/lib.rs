@@ -13,6 +13,9 @@
 //!   conversion only for the attributes a query plan actually needs;
 //! * [`reader`] — block-oriented sequential file scanning with I/O
 //!   accounting;
+//! * [`epoch`] — source epochs: the fingerprint that binds adaptive state
+//!   to one version of a raw file, and the one classifier of how a file
+//!   changed since;
 //! * [`generator`] — deterministic synthetic CSV generation with the knobs
 //!   the demo exposes (attribute count, attribute width, types, tuple count,
 //!   value distributions);
@@ -23,6 +26,7 @@
 //! path and quoted fields on a slower, quote-aware path.
 
 pub mod datum;
+pub mod epoch;
 pub mod error;
 pub mod generator;
 pub mod infer;

@@ -43,9 +43,9 @@
 //! [`ReadaheadBlocks`]), which is what finally separates "waiting on disk"
 //! from "tokenizing" in the Figure-3-style breakdown.
 //!
-//! [`RawFileMeta`] is the cheap file fingerprint used by update detection
-//! (§4.2 *Updates*): length, modification time, and a hash of the file head,
-//! enough to distinguish "appended" from "replaced".
+//! [`RawFileMeta`] is the length/mtime/head-hash part of the source epoch
+//! that update detection (§4.2 *Updates*) classifies against; see
+//! [`crate::epoch`].
 
 #![doc = " lint:cancellable — every scan/batch loop in this module must poll the"]
 #![doc = " query context (`ctx.check()`) or drive an interrupt-flagged `BlockSource`;"]
@@ -484,26 +484,6 @@ impl ReadaheadBlocks {
     }
 }
 
-/// Undo any single-core affinity the helper inherited from a pinned
-/// consumer (`pin_cores` pins scan workers, and `pthread_create` copies
-/// the parent's mask): prefetch I/O sharing the worker's own core would
-/// time-share with tokenizing — the opposite of overlap. The all-ones
-/// mask is intersected with the process cpuset by the kernel; best-effort.
-#[cfg(target_os = "linux")]
-fn unpin_current_thread() {
-    const SET_BITS: usize = 1024;
-    let mask = [u64::MAX; SET_BITS / 64];
-    extern "C" {
-        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
-    }
-    // SAFETY: the mask is a valid, live 128-byte buffer and pid 0 refers to
-    // the calling thread; the call only reads the mask.
-    let _ = unsafe { sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) };
-}
-
-#[cfg(not(target_os = "linux"))]
-fn unpin_current_thread() {}
-
 /// Body of the read-ahead helper thread: replay the exact read sequence
 /// [`SyncBlocks`] would issue from `start` and send each block (with
 /// [`BLOCK_HEADROOM`] spare front bytes) down the bounded channel.
@@ -527,7 +507,6 @@ fn prefetch_loop(
     tx: &SyncSender<PrefetchedBlock>,
     recycle: &Receiver<Vec<u8>>,
 ) {
-    unpin_current_thread();
     let mut file = match File::open(path) {
         Ok(f) => f,
         Err(e) => {
@@ -1632,7 +1611,8 @@ impl RangeScanner {
     }
 }
 
-/// Cheap fingerprint of a raw file used for update detection.
+/// Cheap fingerprint of a raw file: the length/mtime/head part of a
+/// [`crate::epoch::SourceEpoch`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RawFileMeta {
     /// File length in bytes.
@@ -1644,68 +1624,6 @@ pub struct RawFileMeta {
     /// FNV-1a hash of the first `head_len` bytes. Appending rows keeps this
     /// prefix stable; replacing the file almost surely changes it.
     pub head_hash: u64,
-}
-
-/// How a file changed relative to a previously recorded [`RawFileMeta`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FileChange {
-    /// Identical length and head: treat as unchanged.
-    Unchanged,
-    /// Longer, same head: rows were appended after `old_len`.
-    Appended {
-        /// Length at the time of the previous probe.
-        old_len: u64,
-    },
-    /// Shorter or different head: the file was replaced or rewritten.
-    Replaced,
-}
-
-impl RawFileMeta {
-    /// Probe `path` and build a fingerprint with the default 4 KiB head.
-    pub fn probe(path: impl AsRef<Path>) -> Result<Self> {
-        Self::probe_with_head(path, 4096)
-    }
-
-    /// Probe `path` hashing the first `min(len, head_limit)` bytes.
-    pub fn probe_with_head(path: impl AsRef<Path>, head_limit: u64) -> Result<Self> {
-        let path = path.as_ref();
-        let mut file =
-            File::open(path).map_err(|e| RawCsvError::io(format!("open {}", path.display()), e))?;
-        let meta = file
-            .metadata()
-            .map_err(|e| RawCsvError::io(format!("stat {}", path.display()), e))?;
-        let len = meta.len();
-        let head_len = len.min(head_limit);
-        // lint: cast-ok head_len ≤ head_limit, a small caller constant
-        let mut head = vec![0u8; head_len as usize];
-        file.read_exact(&mut head)
-            .map_err(|e| RawCsvError::io(format!("read head of {}", path.display()), e))?;
-        Ok(RawFileMeta {
-            len,
-            modified: meta.modified().ok(),
-            head_len,
-            head_hash: fnv1a(&head),
-        })
-    }
-
-    /// Re-probe `path` and classify how it changed since `self` was taken.
-    ///
-    /// The re-probe hashes exactly `self.head_len` bytes so that appends to
-    /// files shorter than the head window are still recognized as appends.
-    pub fn classify_change(&self, path: impl AsRef<Path>) -> Result<FileChange> {
-        let new = Self::probe_with_head(&path, self.head_len)?;
-        Ok(if new.len < self.len || new.head_hash != self.head_hash {
-            FileChange::Replaced
-        } else if new.len > self.len {
-            FileChange::Appended { old_len: self.len }
-        } else if new.modified != self.modified {
-            // Same length/head but touched: content beyond the head may have
-            // been rewritten in place; be conservative.
-            FileChange::Replaced
-        } else {
-            FileChange::Unchanged
-        })
-    }
 }
 
 /// FNV-1a over a byte slice.
@@ -1953,29 +1871,6 @@ mod tests {
         assert_eq!(l.bytes, b"bb");
         assert_eq!(l.line_no, 1);
         assert_eq!(l.offset, 3);
-        std::fs::remove_file(p).unwrap();
-    }
-
-    #[test]
-    fn meta_detects_append_and_replace() {
-        let p = tmp_file("meta", b"header\n1,2\n");
-        let m0 = RawFileMeta::probe(&p).unwrap();
-        assert_eq!(m0.classify_change(&p).unwrap(), FileChange::Unchanged);
-
-        // Append.
-        {
-            let mut f = std::fs::OpenOptions::new().append(true).open(&p).unwrap();
-            f.write_all(b"3,4\n").unwrap();
-        }
-        assert_eq!(
-            m0.classify_change(&p).unwrap(),
-            FileChange::Appended { old_len: m0.len }
-        );
-
-        // Replace with different head.
-        let m1 = RawFileMeta::probe(&p).unwrap();
-        std::fs::write(&p, b"different!\n").unwrap();
-        assert_eq!(m1.classify_change(&p).unwrap(), FileChange::Replaced);
         std::fs::remove_file(p).unwrap();
     }
 

@@ -6,7 +6,7 @@
 //! [0..8)        magic            "NODBSNP1"
 //! [8..12)       version          u32 (FORMAT_VERSION)
 //! [12..16)      header_len       u32 (bytes of header payload H)
-//! [16..16+H)    header payload   fingerprint + row count + section count
+//! [16..16+H)    header payload   source epoch + row count + section count
 //! [..+8)        header checksum  checksum64 over bytes [8, 16+H)
 //! then          section_count ×  { tag u32, payload_len u64,
 //!                                  payload checksum u64, payload }
@@ -24,6 +24,7 @@ use nodb_posmap::chunk::ChunkBuilder;
 use nodb_posmap::PositionalMap;
 use nodb_rawcache::column::NullMask;
 use nodb_rawcache::{RawCache, TypedColumn};
+use nodb_rawcsv::epoch::SourceEpoch;
 use nodb_rawcsv::reader::RawFileMeta;
 use nodb_rawcsv::{ColumnType, Datum};
 use nodb_stats::{AttrStatsState, ReservoirState, TableStats, TableStatsState};
@@ -34,7 +35,7 @@ pub const MAGIC: [u8; 8] = *b"NODBSNP1";
 
 /// Current format version. Bump on any layout change; the loader refuses
 /// every other version (degrade to cold, never guess).
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 const SECTION_POSMAP: u32 = 1;
 const SECTION_CACHE: u32 = 2;
@@ -181,13 +182,14 @@ impl PosMapState {
     }
 }
 
-/// Everything one table persists: the fingerprint the state is keyed by,
+/// Everything one table persists: the source epoch the state is keyed by,
 /// plus the three adaptive-state sections.
 #[derive(Debug)]
 pub struct TableSnapshot {
-    /// Fingerprint of the raw file at capture time; the loader compares it
-    /// against the live file and invalidates on any regression.
-    pub meta: RawFileMeta,
+    /// Source epoch of the raw file at capture time (fingerprint, tail
+    /// sample, torn-row fence); the restorer classifies the live file
+    /// against it and invalidates on a truncation or rewrite.
+    pub epoch: SourceEpoch,
     /// The table's exact row count, when a complete scan had established it.
     pub row_count: Option<u64>,
     /// Positional-map state.
@@ -203,7 +205,7 @@ impl TableSnapshot {
     /// caller holds whatever lock makes the three structures mutually
     /// consistent).
     pub fn capture(
-        meta: RawFileMeta,
+        epoch: SourceEpoch,
         row_count: Option<u64>,
         map: &PositionalMap,
         cache: &RawCache,
@@ -215,7 +217,7 @@ impl TableSnapshot {
             .filter_map(|(attr, rows)| cache.column(attr).map(|c| (attr, c.export_range(0, rows))))
             .collect();
         TableSnapshot {
-            meta,
+            epoch,
             row_count,
             map: PosMapState::capture(map),
             columns,
@@ -431,11 +433,11 @@ fn encode_stats(stats: &TableStatsState) -> Vec<u8> {
 
 /// Serialize a snapshot to sidecar bytes.
 pub fn encode_snapshot(snap: &TableSnapshot) -> Vec<u8> {
-    // Header payload: fingerprint, row count, section count.
+    // Header payload: source epoch, row count, section count.
+    let meta = &snap.epoch.meta;
     let mut h = Enc { buf: Vec::new() };
-    h.put_u64(snap.meta.len);
-    match snap
-        .meta
+    h.put_u64(meta.len);
+    match meta
         .modified
         .and_then(|t| t.duration_since(UNIX_EPOCH).ok())
     {
@@ -450,8 +452,11 @@ pub fn encode_snapshot(snap: &TableSnapshot) -> Vec<u8> {
             h.put_u32(0);
         }
     }
-    h.put_u64(snap.meta.head_len);
-    h.put_u64(snap.meta.head_hash);
+    h.put_u64(meta.head_len);
+    h.put_u64(meta.head_hash);
+    h.put_u64(snap.epoch.tail_len);
+    h.put_u64(snap.epoch.tail_hash);
+    h.put_u64(snap.epoch.trusted_len);
     match snap.row_count {
         Some(n) => {
             h.put_u8(1);
@@ -824,6 +829,9 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<TableSnapshot> {
     let modified = mod_present.then(|| UNIX_EPOCH + Duration::new(mod_secs, mod_nanos));
     let head_len = d.u64()?;
     let head_hash = d.u64()?;
+    let tail_len = d.u64()?;
+    let tail_hash = d.u64()?;
+    let trusted_len = d.u64()?;
     let rc_present = d.bool()?;
     let rc = d.u64()?;
     let row_count = rc_present.then_some(rc);
@@ -865,11 +873,16 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<TableSnapshot> {
     d.done()?;
     match (map, columns, stats) {
         (Some(map), Some(columns), Some(stats)) => Ok(TableSnapshot {
-            meta: RawFileMeta {
-                len: file_len,
-                modified,
-                head_len,
-                head_hash,
+            epoch: SourceEpoch {
+                meta: RawFileMeta {
+                    len: file_len,
+                    modified,
+                    head_len,
+                    head_hash,
+                },
+                tail_len,
+                tail_hash,
+                trusted_len,
             },
             row_count,
             map,

@@ -41,18 +41,24 @@ mod tests {
 
     use nodb_posmap::{MapPolicy, PositionalMap};
     use nodb_rawcache::{CachePolicy, RawCache};
+    use nodb_rawcsv::epoch::SourceEpoch;
     use nodb_rawcsv::reader::{fnv1a, RawFileMeta};
     use nodb_rawcsv::{ColumnType, Datum, IoProfile};
     use nodb_stats::TableStats;
 
     use super::*;
 
-    fn sample_meta() -> RawFileMeta {
-        RawFileMeta {
-            len: 4096,
-            modified: Some(UNIX_EPOCH + Duration::new(1_700_000_000, 123)),
-            head_len: 512,
-            head_hash: 0xDEAD_BEEF_u64,
+    fn sample_epoch() -> SourceEpoch {
+        SourceEpoch {
+            meta: RawFileMeta {
+                len: 4096,
+                modified: Some(UNIX_EPOCH + Duration::new(1_700_000_000, 123)),
+                head_len: 512,
+                head_hash: 0xDEAD_BEEF_u64,
+            },
+            tail_len: 1024,
+            tail_hash: 0xFEED_F00D_u64,
+            trusted_len: 4090,
         }
     }
 
@@ -88,7 +94,7 @@ mod tests {
         }
         stats.advance_observed(1, 50);
         stats.advance_observed(3, 50);
-        TableSnapshot::capture(sample_meta(), Some(4), &map, &cache, &stats)
+        TableSnapshot::capture(sample_epoch(), Some(4), &map, &cache, &stats)
     }
 
     #[test]
@@ -96,9 +102,7 @@ mod tests {
         let snap = sample_snapshot();
         let bytes = encode_snapshot(&snap);
         let back = decode_snapshot(&bytes).expect("round trip");
-        assert_eq!(back.meta.len, snap.meta.len);
-        assert_eq!(back.meta.modified, snap.meta.modified);
-        assert_eq!(back.meta.head_hash, snap.meta.head_hash);
+        assert_eq!(back.epoch, snap.epoch);
         assert_eq!(back.row_count, Some(4));
         assert_eq!(back.map.row_starts, vec![0, 40, 81, 130]);
         assert!(back.map.complete);

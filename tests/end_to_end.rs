@@ -161,3 +161,34 @@ fn mixed_type_file_with_header_round_trips() {
     assert_eq!(r3.scalar(), Some(&Datum::Int(50)));
     std::fs::remove_dir_all(dir).unwrap();
 }
+
+/// The report's `engine` slice measures only the pipeline above the scan.
+/// A cold filtered `COUNT(*)` is scan-bound, so `engine` must stay under
+/// half of `total` at every thread count, with phase timing on or off —
+/// scan time never hides inside the engine measurement.
+#[test]
+fn engine_slice_excludes_scan_time() {
+    let dir = scratch_dir("it_engine_slice");
+    let data = Dataset::standard(&dir, 4, 100_000, 0xE51);
+    let sql = "SELECT COUNT(*) FROM t WHERE c1 < 500000000";
+    for scan_threads in [1, 2] {
+        for detailed_timing in [true, false] {
+            let mut db = NoDb::new(NoDbConfig {
+                scan_threads,
+                detailed_timing,
+                ..NoDbConfig::default()
+            });
+            db.register_csv_with_schema("t", &data.path, data.schema(), false)
+                .unwrap();
+            db.query(sql).unwrap();
+            let rep = db.admin().last_report().unwrap();
+            assert!(
+                rep.breakdown.engine * 2 < rep.total,
+                "threads={scan_threads} timing={detailed_timing}: engine {:?} of total {:?}",
+                rep.breakdown.engine,
+                rep.total
+            );
+        }
+    }
+    std::fs::remove_dir_all(dir).unwrap();
+}

@@ -225,6 +225,64 @@ fn replaced_file_degrades_to_cold() {
     cleanup(&path);
 }
 
+/// A file rewritten past its head *and* grown while the process was down
+/// looks like an append to a length + head-hash fingerprint. The restore
+/// classifies it with the same source-epoch decision tree query-time
+/// update detection uses (old tail region re-hashed), so it is rejected and
+/// the answer is a fresh instance's — never the stale prefix state.
+#[test]
+fn rewrite_past_head_then_growth_degrades_to_cold() {
+    let cols = 4;
+    let old = GeneratorConfig::uniform_ints(cols, 3000, 0x5EED6);
+    let path = scratch("rewrite_grow");
+    old.generate_file(&path).unwrap();
+    let sql = "SELECT SUM(c1) FROM t";
+
+    let warm = mk_db(&path, old.schema(), true);
+    warm.query(sql).unwrap();
+    for (table, r) in warm.admin().snapshot_now() {
+        r.unwrap_or_else(|e| panic!("snapshot_now({table}): {e}"));
+    }
+    drop(warm);
+
+    // Keep every line that starts in the first 8 KiB, replace the rest
+    // with other rows, and add 100 rows on top.
+    let old_bytes = std::fs::read(&path).unwrap();
+    let keep = old_bytes[8192..].iter().position(|&b| b == b'\n').unwrap() + 8193;
+    let kept_rows = old_bytes[..keep].iter().filter(|&&b| b == b'\n').count();
+    let other_path = scratch("rewrite_grow_src");
+    GeneratorConfig::uniform_ints(cols, 3100, 0x0DD5EED)
+        .generate_file(&other_path)
+        .unwrap();
+    let other = std::fs::read_to_string(&other_path).unwrap();
+    std::fs::remove_file(&other_path).unwrap();
+    let mut rewritten = old_bytes[..keep].to_vec();
+    for line in other.lines().skip(kept_rows) {
+        rewritten.extend_from_slice(line.as_bytes());
+        rewritten.push(b'\n');
+    }
+    assert!(
+        rewritten.len() > old_bytes.len(),
+        "the rewrite grows the file"
+    );
+    assert_eq!(rewritten[..4096], old_bytes[..4096], "the head is intact");
+    std::fs::write(&path, &rewritten).unwrap();
+
+    let reference = mk_db(&path, old.schema(), false);
+    let want = reference.query(sql).unwrap().to_string();
+
+    let reborn = mk_db(&path, old.schema(), true);
+    assert_eq!(
+        reborn.query(sql).unwrap().to_string(),
+        want,
+        "cold-degraded table answers from the rewritten file"
+    );
+    let stats = reborn.admin().snapshot_stats();
+    assert_eq!(stats.restores, 0, "{stats:?}");
+    assert_eq!(stats.restores_rejected, 1, "rewritten tail: {stats:?}");
+    cleanup(&path);
+}
+
 /// Concurrent queries while write-behind snapshots are landing: answers
 /// stay correct, the final sidecar is valid (atomic rename — never torn),
 /// no temp files leak, and a restart from it round-trips.
