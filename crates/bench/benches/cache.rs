@@ -5,7 +5,7 @@
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use nodb_rawcache::{CachePolicy, RawCache};
+use nodb_rawcache::{CachePolicy, ColumnSegments, RawCache, TypedColumn};
 use nodb_rawcsv::tokenizer::{TokenizerConfig, Tokens};
 use nodb_rawcsv::{parser, ColumnType, Datum, GeneratorConfig};
 use nodb_stats::TableStats;
@@ -24,10 +24,11 @@ fn bench_hit_vs_reparse(c: &mut Criterion) {
     let cfg = TokenizerConfig::default();
     let attr = 7usize;
 
-    // Warm the cache once.
+    // Warm the cache once: parse the column, then admit it as one segment.
     let mut cache = RawCache::new(CachePolicy::default());
     let tick = cache.begin_query(&[attr]);
     let mut t = Tokens::new();
+    let mut col = TypedColumn::new(ColumnType::Int);
     for (row, l) in data.iter().enumerate() {
         cfg.tokenize_selective(l, attr, &mut t);
         let d = parser::parse_field(
@@ -37,8 +38,10 @@ fn bench_hit_vs_reparse(c: &mut Criterion) {
             attr,
         )
         .unwrap();
-        cache.append(attr, ColumnType::Int, &d, tick);
+        col.push(&d);
     }
+    let segments = vec![col];
+    cache.admit_segments(vec![ColumnSegments { attr, segments }], Vec::new(), tick);
 
     let mut group = c.benchmark_group("cache");
     group.bench_function("hit_5000_rows", |b| {
@@ -86,7 +89,7 @@ fn bench_stats_overhead(c: &mut Criterion) {
                 let a = stats.attr_mut(0);
                 for (i, v) in values.iter().enumerate() {
                     if (i as u64).is_multiple_of(stride) {
-                        a.observe(v);
+                        a.observe(i as u64, v);
                     }
                 }
                 black_box(stats.attr(0).map(|s| s.rows_seen()))

@@ -67,15 +67,17 @@
 //!    partition-local partials; fully-cached queries stream through
 //!    `RawCache::peek` with local hit tallies. Any number of queries can be
 //!    in this phase simultaneously.
-//! 3. **Merge** ([`merge_outputs`], write lock) — staged partials are
-//!    installed. The merge is *frontier-based* and therefore idempotent
+//! 3. **Merge** — first [`stage_outputs`] with no lock: worker telemetry
+//!    is folded, chunk builders concatenated, output batches re-packed and
+//!    per-partition statistics summaries built on the scan's threads. Then
+//!    [`install_staged`] under a short write lock installs the staged
+//!    partials. Every install is *frontier-based* and therefore idempotent
 //!    under interleaving: the row index skips known rows, chunk installs go
-//!    through subsumption, cache admission replays from the cache's
-//!    *current* coverage, and statistics replay only rows beyond each
-//!    attribute's observation frontier. Merging the same full-scan output
-//!    after another query already merged its own is a no-op, which is what
-//!    makes N concurrent queries end in the same state as a sequential
-//!    replay.
+//!    through subsumption, cache admission starts at the cache's *current*
+//!    coverage, and statistics fold in only rows beyond each attribute's
+//!    observation frontier. Merging the same full-scan output after another
+//!    query already merged its own is a no-op, which is what makes N
+//!    concurrent queries end in the same state as a sequential replay.
 //!
 //! A `ScanPrep` is only valid for the generation it was taken at: if update
 //! detection reconciled an append/replacement in between, phases 2 and 3
@@ -102,16 +104,25 @@
 //!   offsets keyed by local row; `ChunkBuilder::append_partial` rebases by
 //!   concatenating in partition order, then the usual install path
 //!   (subsumption, LRU, budget) runs once on the merged chunk.
-//! * *Cache* — workers buffer one value per row per requested attribute
-//!   (partial columns); the driver replays one row-major,
-//!   attribute-interleaved admission loop — stopping a column permanently
-//!   at the first refused append — starting from the cache's coverage at
-//!   merge time, so budget/LRU decisions do not depend on the partitioning.
-//! * *Statistics* — observations are replayed from the buffered columns in
-//!   global row order under the same sampling stride, starting at each
-//!   attribute's observation frontier. Replay (not accumulator merging) is
-//!   deliberate: the reservoir sample depends on arrival order, so only
-//!   order-preserving replay keeps statistics identical.
+//! * *Cache* — workers parse one typed value per row per requested
+//!   attribute into partition segments. The merge hands every attribute's
+//!   segments, in partition order, to one
+//!   [`nodb_rawcache::RawCache::admit_segments`] call: rows below the
+//!   cache's coverage are skipped, LRU victims are evicted as `make_room`
+//!   would, and when the budget still runs out one cut row — computed by
+//!   arithmetic for fixed-width columns and by prefix byte sums for
+//!   strings — stops all of the query's columns together. Segments move in
+//!   whole; no value is re-boxed, so budget/LRU decisions depend only on
+//!   the scanned rows, never on the partitioning.
+//! * *Statistics* — every statistics component is an order-free summary
+//!   (`rows_seen`/`nulls` add, `min`/`max` compare, the NDV bitmap ORs, and
+//!   the sample is the bottom-k of `splitmix64(global row id)`). Each
+//!   partition's side column is summarised from the attribute's
+//!   observation frontier under the sampling stride, off the lock and in
+//!   parallel, and the summaries merge into the table's accumulators; a
+//!   partition straddling a frontier another merge moved since staging is
+//!   summarised again from the new frontier. Any split and any merge order
+//!   give the state a sequential scan would have built.
 //! * *Results* — per-partition output batches are concatenated in partition
 //!   order (`Batch::extend_from`), no reordering anywhere downstream.
 //! * *Telemetry* — `Breakdown` and `IoCounters` are summed; cache hit/miss
@@ -121,9 +132,10 @@
 //! The `cache_force_full_parse` ablation is a worker flag like any other:
 //! workers additionally tokenize whole tuples and parse every unrequested
 //! attribute into side columns ([`ScanPrep::extra_attrs`]), and the merge
-//! offers those to the cache in the same admission loop, after the
-//! requested attributes of each row, each from its own cache coverage
-//! onward and only while contiguous with it. Under the strict parse-error
+//! offers those to the cache in the same admission call, after the
+//! requested attributes, each as a group of its own from its own cache
+//! coverage onward, so it only ever extends its cached prefix contiguously.
+//! Under the strict parse-error
 //! policy a malformed row aborts the scan without merging any side
 //! effects; the permissive policy instead tombstones the malformed cell as
 //! NULL and quarantines the row into telemetry.
@@ -154,9 +166,10 @@ use std::sync::{Arc, Mutex, PoisonError};
 use nodb_engine::batch::{Batch, ColView, Column, SliceRow, BATCH_SIZE};
 use nodb_engine::{EngineError, EngineResult, ScanRequest};
 use nodb_posmap::{AccessPlan, AttrSource, ChunkBuilder, LineCountMemo};
-use nodb_rawcache::TypedColumn;
+use nodb_rawcache::{ColumnSegments, TypedColumn};
 use nodb_rawcsv::reader::{count_lines_in_range_ctl, partition_line_ranges_capped, LineRange};
 use nodb_rawcsv::{Datum, IoCounters, RawCsvError};
+use nodb_stats::AttrStats;
 
 use crate::config::NoDbConfig;
 use crate::ctx::{QueryCtx, CHECK_STRIDE};
@@ -1069,65 +1082,106 @@ pub(crate) fn run_partitions(
     })
 }
 
-/// Concatenate per-partition partial columns in partition order (segment
-/// merge): one full column per attribute of `attrs`, addressed by global
-/// row. The first partition's columns are adopted as-is.
-fn concat_partials<'a>(
-    mut parts: impl Iterator<Item = &'a mut Vec<TypedColumn>>,
-    attrs: &[usize],
-    table: &RawTable,
-) -> Vec<TypedColumn> {
-    let mut full = parts.next().map(std::mem::take).unwrap_or_else(|| {
-        attrs
-            .iter()
-            .map(|&a| TypedColumn::new(table.schema.ty(a)))
-            .collect()
-    });
-    for part in parts {
-        for (col, seg) in full.iter_mut().zip(part.drain(..)) {
-            col.append_segment(seg);
-        }
-    }
-    full
+/// The statistics observation frontiers of a scan's requested attributes
+/// and the table's sampling stride, read once the partitions have run:
+/// the rows each partition summary starts from.
+pub(crate) struct StatsFrontier {
+    from: Vec<u64>,
+    every: u64,
 }
 
-/// The merge step of a raw scan: install the per-partition partials into
-/// the table's adaptive structures, in partition order, under the table's
-/// write lock, publish the scan telemetry, and hand back the output batches.
-///
-/// Every sub-merge is **frontier-based** so interleaved queries converge to
-/// the sequential-replay state: the row index skips known rows, the chunk
-/// install goes through subsumption, cache admission replays from the
-/// cache's *current* coverage, and statistics replay only rows at or beyond
-/// each attribute's observation frontier.
-///
-/// A stopped scan (`outcome.stopped`, cancellation or deadline) carries
-/// only the contiguous completed prefix of partitions: every
-/// frontier-based sub-merge still runs over that prefix, but the
-/// end-of-scan bookkeeping (`row_count`, `mark_complete`, `set_row_count`)
-/// is withheld — the file was not fully visited, so those totals are
-/// unknown. Statistics observation frontiers are still advanced over the
-/// merged prefix, so a re-run never double-observes. The stop error is
-/// returned after the merge.
-#[allow(clippy::too_many_arguments)] // phase boundary: each argument is one staged ingredient
-pub(crate) fn merge_outputs(
-    table: &mut RawTable,
+impl StatsFrontier {
+    fn read(table: &RawTable, prep: &ScanPrep) -> Self {
+        StatsFrontier {
+            from: prep
+                .req
+                .attrs
+                .iter()
+                .map(|&a| table.stats.observed_upto(a))
+                .collect(),
+            every: table.stats.sample_every,
+        }
+    }
+}
+
+/// Summarise rows `[from, base + col.len())` of one partition's side column
+/// (row `base` is the column's first value) under the sampling stride:
+/// the order-free statistics summary the merge folds in. `None` when the
+/// range samples no row, so an attribute gains an accumulator only once it
+/// observed a value.
+fn summarise(
+    attr: usize,
+    col: &TypedColumn,
+    base: u64,
+    from: u64,
+    every: u64,
+) -> Option<AttrStats> {
+    let end = base + col.len() as u64;
+    let first = from.max(base).div_ceil(every) * every;
+    if first >= end {
+        return None;
+    }
+    let mut s = AttrStats::new(attr);
+    let step = usize::try_from(every).unwrap_or(usize::MAX);
+    s.observe_batch((first..end).step_by(step).map(|row| {
+        let d = col.datum((row - base) as usize).unwrap_or(Datum::Null);
+        (row, d)
+    }));
+    Some(s)
+}
+
+/// A scan's partials, staged without any table lock for the short locked
+/// install ([`install_staged`]).
+pub(crate) struct StagedMerge {
+    /// Global row base of each partition.
+    bases: Vec<usize>,
+    /// Rows merged (the file's row count when `stopped` is `None`).
+    total: usize,
+    stopped: Option<EngineError>,
+    steals: u64,
+    bd: Breakdown,
+    io: IoCounters,
+    cache_hits: u64,
+    cache_misses: u64,
+    quarantined: u64,
+    quarantine_samples: Vec<QuarantineSample>,
+    /// Per partition: line-start offsets for the row index.
+    line_starts: Vec<Vec<u64>>,
+    /// The partition chunk builders concatenated in partition order.
+    chunk: Option<ChunkBuilder>,
+    /// Per requested attribute: the partition side segments, in order.
+    side: Vec<Vec<TypedColumn>>,
+    /// Per ablation attribute: the partition segments, in order.
+    extra: Vec<Vec<TypedColumn>>,
+    /// Per requested attribute, per partition: the statistics summary
+    /// built from `frontier` (empty when statistics are off).
+    summaries: Vec<Vec<Option<AttrStats>>>,
+    frontier: StatsFrontier,
+    /// Output batches, re-packed to full batches in partition order.
+    queue: VecDeque<Batch>,
+}
+
+/// The lock-free half of a raw scan's merge: fold the worker telemetry,
+/// concatenate the chunk builders, transpose the side columns into
+/// per-attribute segment lists, re-pack the output batches, and build the
+/// per-partition statistics summaries on `prep.threads` scoped threads
+/// from the observation frontiers in `frontier`. Timed as NoDB-structure
+/// maintenance.
+pub(crate) fn stage_outputs(
     config: &NoDbConfig,
     prep: &ScanPrep,
     cold: Option<&ColdScanPlan>,
     outcome: ScanOutcome,
     mut bd: Breakdown,
-    telemetry: &TelemetryHandle,
+    frontier: StatsFrontier,
     clock: &PhaseClock,
-) -> EngineResult<VecDeque<Batch>> {
+) -> StagedMerge {
+    let t = clock.start();
     let ScanOutcome {
-        outputs: mut results,
+        outputs: results,
         steals,
         stopped,
     } = outcome;
-    let complete = stopped.is_none();
-    // Ordered merge, timed as NoDB-structure maintenance.
-    let t = clock.start();
     let n = prep.req.attrs.len();
     let bases: Vec<usize> = results
         .iter()
@@ -1140,30 +1194,157 @@ pub(crate) fn merge_outputs(
     let total = bases.last().copied().unwrap_or(0) + results.last().map(|o| o.rows).unwrap_or(0);
 
     let mut io = IoCounters::default();
-    let mut worker_hits = 0u64;
-    let mut worker_misses = 0u64;
-    let mut quarantined = 0u64;
+    let (mut cache_hits, mut cache_misses, mut quarantined) = (0u64, 0u64, 0u64);
     let mut quarantine_samples: Vec<QuarantineSample> = Vec::new();
     // Cold workers without a pre-count number sample rows slice-locally;
     // rebase by the preceding partitions' row counts, like error rows.
     let rows_global = prep.warm || cold.is_some_and(|c| c.rows_known);
-    for (p, o) in results.iter().enumerate() {
+    let mut line_starts = Vec::with_capacity(results.len());
+    let mut chunk = prep
+        .build_chunk
+        .then(|| ChunkBuilder::with_capacity(prep.req.attrs.clone(), total));
+    let mut side: Vec<Vec<TypedColumn>> =
+        (0..n).map(|_| Vec::with_capacity(results.len())).collect();
+    let mut extra: Vec<Vec<TypedColumn>> = prep.extra_attrs.iter().map(|_| Vec::new()).collect();
+    let mut queue: VecDeque<Batch> = VecDeque::new();
+    let mut acc = Batch::with_columns(n);
+    for (p, mut o) in results.into_iter().enumerate() {
         bd.merge(&o.breakdown);
         io.merge(o.io);
-        worker_hits += o.cache_hits;
-        worker_misses += o.cache_misses;
+        cache_hits += o.cache_hits;
+        cache_misses += o.cache_misses;
         quarantined += o.quarantined;
-        for s in &o.quarantine_samples {
-            if quarantine_samples.len() >= QuarantineSample::MAX_SAMPLES {
-                break;
+        let room = QuarantineSample::MAX_SAMPLES.saturating_sub(quarantine_samples.len());
+        quarantine_samples.extend(o.quarantine_samples.iter().take(room).map(|s| {
+            QuarantineSample {
+                row: if rows_global {
+                    s.row
+                } else {
+                    s.row + bases[p] as u64
+                },
+                ..*s
             }
-            let mut s = *s;
-            if !rows_global {
-                s.row += bases[p] as u64;
+        }));
+        line_starts.push(std::mem::take(&mut o.line_starts));
+        if let (Some(merged), Some(wb)) = (&mut chunk, o.builder.take()) {
+            merged.append_partial(wb);
+        }
+        for (segs, col) in side.iter_mut().zip(o.side_cols.drain(..)) {
+            segs.push(col);
+        }
+        for (segs, col) in extra.iter_mut().zip(o.extra_cols.drain(..)) {
+            segs.push(col);
+        }
+        // Results: concatenate in partition order, re-packing to full
+        // batches (reorder-free concatenation).
+        for b in o.batches.drain(..) {
+            if acc.is_empty() && b.rows() >= BATCH_SIZE {
+                queue.push_back(b);
+            } else {
+                acc.extend_from(b);
+                if acc.rows() >= BATCH_SIZE {
+                    queue.push_back(std::mem::replace(&mut acc, Batch::with_columns(n)));
+                }
             }
-            quarantine_samples.push(s);
         }
     }
+    if !acc.is_empty() {
+        queue.push_back(acc);
+    }
+
+    // Statistics summaries, one per (attribute, partition), spread over the
+    // scan's threads. No lock is held: the side columns are the workers'
+    // own partials.
+    let mut summaries: Vec<Vec<Option<AttrStats>>> = Vec::new();
+    if config.enable_stats && total > 0 {
+        let jobs: Vec<(usize, usize)> = (0..n)
+            .flat_map(|i| (0..bases.len()).map(move |p| (i, p)))
+            .collect();
+        let threads = prep.threads.clamp(1, jobs.len().max(1));
+        let run = |chunk: &[(usize, usize)]| -> Vec<Option<AttrStats>> {
+            chunk
+                .iter()
+                .map(|&(i, p)| {
+                    summarise(
+                        prep.req.attrs[i],
+                        &side[i][p],
+                        bases[p] as u64,
+                        frontier.from[i],
+                        frontier.every,
+                    )
+                })
+                .collect()
+        };
+        // The driver takes the first chunk itself; helpers take the rest.
+        let mut chunks = jobs.chunks(jobs.len().div_ceil(threads).max(1));
+        let first = chunks.next().unwrap_or_default();
+        let flat = std::thread::scope(|s| {
+            let helpers: Vec<_> = chunks.map(|c| s.spawn(move || run(c))).collect();
+            let mut flat = run(first);
+            for h in helpers {
+                flat.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+            }
+            flat
+        });
+        let mut flat = flat.into_iter();
+        summaries = (0..n)
+            .map(|_| flat.by_ref().take(bases.len()).collect())
+            .collect();
+    }
+    clock.lap(t, &mut bd.nodb);
+
+    StagedMerge {
+        bases,
+        total,
+        stopped,
+        steals,
+        bd,
+        io,
+        cache_hits,
+        cache_misses,
+        quarantined,
+        quarantine_samples,
+        line_starts,
+        chunk,
+        side,
+        extra,
+        summaries,
+        frontier,
+        queue,
+    }
+}
+
+/// The locked half of a raw scan's merge: install the staged partials into
+/// the table's adaptive structures under its write lock, publish the scan
+/// telemetry, and hand back the output batches.
+///
+/// Every install is **frontier-based** so interleaved queries converge to
+/// the sequential-replay state: the row index skips known rows, the chunk
+/// install goes through subsumption, cache admission starts at the cache's
+/// *current* coverage, and statistics summaries cover only rows at or
+/// beyond each attribute's *current* observation frontier — a partition
+/// that straddles a frontier another merge moved since staging is
+/// summarised again from the new frontier.
+///
+/// A stopped scan (cancellation or deadline) carries only the contiguous
+/// completed prefix of partitions: every frontier-based install still runs
+/// over that prefix, but the end-of-scan bookkeeping (`row_count`,
+/// `mark_complete`, `set_row_count`) is withheld — the file was not fully
+/// visited, so those totals are unknown. Statistics observation frontiers
+/// are still advanced over the merged prefix, so a re-run never
+/// double-observes. The stop error is returned after the install.
+pub(crate) fn install_staged(
+    table: &mut RawTable,
+    config: &NoDbConfig,
+    prep: &ScanPrep,
+    cold: Option<&ColdScanPlan>,
+    mut staged: StagedMerge,
+    telemetry: &TelemetryHandle,
+    clock: &PhaseClock,
+) -> EngineResult<VecDeque<Batch>> {
+    let t = clock.start();
+    let (bases, total) = (&staged.bases, staged.total);
+    let complete = staged.stopped.is_none();
 
     // Cold-scan bookkeeping: account the pre-count pass's I/O and memoize
     // the newline counts it established — boundary counts from the counting
@@ -1171,7 +1352,7 @@ pub(crate) fn merge_outputs(
     // next cold scan over the same bytes partitions at the same offsets and
     // skips the counting pass entirely.
     if let Some(cp) = cold {
-        io.merge(cp.io);
+        staged.io.merge(cp.io);
         for &(off, lines) in &cp.new_counts {
             table.map.line_counts_mut().note(off, lines);
         }
@@ -1186,130 +1367,65 @@ pub(crate) fn merge_outputs(
     }
 
     if prep.plan.is_some() {
-        for (p, o) in results.iter().enumerate() {
-            table
-                .map
-                .row_index_mut()
-                .note_rows(bases[p], &o.line_starts);
+        for (p, starts) in staged.line_starts.iter().enumerate() {
+            table.map.row_index_mut().note_rows(bases[p], starts);
         }
     }
+    let installed = staged
+        .chunk
+        .take()
+        .is_some_and(|c| table.map.install(c).is_some());
 
-    let mut installed = false;
-    if prep.build_chunk {
-        let mut merged = ChunkBuilder::with_capacity(prep.req.attrs.clone(), total);
-        for o in &mut results {
-            if let Some(wb) = o.builder.take() {
-                merged.append_partial(wb);
+    // Statistics: fold each partition's summary in, after the side columns
+    // were staged but before the cache takes them.
+    if config.enable_stats && total > 0 && !staged.summaries.is_empty() {
+        let every = table.stats.sample_every;
+        for (i, &attr) in prep.req.attrs.iter().enumerate() {
+            let now = table.stats.observed_upto(attr);
+            for (p, &base) in bases.iter().enumerate() {
+                let col = &staged.side[i][p];
+                let (base, end) = (base as u64, (base + col.len()) as u64);
+                let start = now.max(base);
+                if start >= end {
+                    continue;
+                }
+                let built = staged.summaries[i][p].take();
+                // Staged from another start row: the frontier moved since.
+                let summary = if every == staged.frontier.every
+                    && start == staged.frontier.from[i].max(base)
+                {
+                    built
+                } else {
+                    summarise(attr, col, base, now, every)
+                };
+                if let Some(s) = summary {
+                    table.stats.merge_summary(attr, s);
+                }
             }
         }
-        installed = table.map.install(merged).is_some();
     }
 
-    // Side columns: one full column per requested attribute, plus (under
-    // the force-full-parse ablation) one per unrequested attribute.
-    let side: Vec<TypedColumn> = if config.enable_cache || config.enable_stats {
-        concat_partials(
-            results.iter_mut().map(|o| &mut o.side_cols),
-            &prep.req.attrs,
-            table,
-        )
-    } else {
-        Vec::new()
-    };
-    let extra: Vec<TypedColumn> = if prep.extra_attrs.is_empty() {
-        Vec::new()
-    } else {
-        concat_partials(
-            results.iter_mut().map(|o| &mut o.extra_cols),
-            &prep.extra_attrs,
-            table,
-        )
-    };
-
-    // Cache: one admission loop — row-major,
-    // attribute-interleaved, a column stopping permanently at its first
-    // refused append — so budget/LRU decisions are identical. The admission
-    // frontier is the cache's coverage *now*: rows another interleaved
-    // query already admitted are skipped, never appended twice. Ablation
-    // columns follow the requested ones in each row and are admitted only
-    // while contiguous with their cached prefix: they are not protected by
-    // the query tick, so a refusal or an eviction ends them for this scan.
+    // Cache: one admission call — the requested columns as one group under
+    // one budget decision, then the ablation columns — starting from the
+    // cache's coverage now, so rows another query already admitted are
+    // skipped.
     if config.enable_cache {
-        table.cache.record_reads(worker_hits, worker_misses);
-        let attrs: Vec<usize> = prep
-            .req
-            .attrs
-            .iter()
-            .chain(&prep.extra_attrs)
-            .copied()
-            .collect();
-        let cols: Vec<&TypedColumn> = side.iter().chain(&extra).collect();
+        table
+            .cache
+            .record_reads(staged.cache_hits, staged.cache_misses);
         if total > 0 {
-            let mut next = table.cache.coverage_of(&attrs);
-            let mut row = next
-                .iter()
-                .copied()
-                .filter(|&v| v != usize::MAX)
-                .min()
-                .unwrap_or(total);
-            while row < total {
-                if next.iter().all(|&v| v == usize::MAX || v > row) {
-                    // Nothing appends at this row; jump to the next frontier.
-                    match next
-                        .iter()
-                        .copied()
-                        .filter(|&v| v != usize::MAX && v > row)
-                        .min()
-                    {
-                        Some(r) => {
-                            row = r;
-                            continue;
-                        }
-                        None => break,
-                    }
-                }
-                for (i, slot) in next.iter_mut().enumerate() {
-                    if *slot != row {
-                        continue;
-                    }
-                    if i >= n && table.cache.coverage(attrs[i]) != row {
-                        *slot = usize::MAX;
-                        continue;
-                    }
-                    let d = cols[i].datum(row).unwrap_or(Datum::Null);
-                    let ty = table.schema.ty(attrs[i]);
-                    if table.cache.append(attrs[i], ty, &d, prep.query_tick) {
-                        *slot += 1;
-                    } else {
-                        *slot = usize::MAX;
-                    }
-                }
-                row += 1;
-            }
-        }
-    }
-
-    // Statistics: order-preserving replay under the shared stride (see
-    // module docs on why replay, not accumulator merging), starting at each
-    // attribute's observation frontier as of this merge.
-    if config.enable_stats && total > 0 {
-        let frontiers: Vec<u64> = prep
-            .req
-            .attrs
-            .iter()
-            .map(|&a| table.stats.observed_upto(a))
-            .collect();
-        let mut row = frontiers.iter().copied().min().unwrap_or(0);
-        while (row as usize) < total {
-            if table.stats.should_sample(row) {
-                for (i, (col, &attr)) in side.iter().zip(&prep.req.attrs).enumerate() {
-                    if row >= frontiers[i] {
-                        let d = col.datum(row as usize).unwrap_or(Datum::Null);
-                        table.stats.attr_mut(attr).observe(&d);
-                    }
-                }
-            }
-            row += 1;
+            let group = |attrs: &[usize], cols: Vec<Vec<TypedColumn>>| -> Vec<ColumnSegments> {
+                attrs
+                    .iter()
+                    .zip(cols)
+                    .map(|(&attr, segments)| ColumnSegments { attr, segments })
+                    .collect()
+            };
+            table.cache.admit_segments(
+                group(&prep.req.attrs, std::mem::take(&mut staged.side)),
+                group(&prep.extra_attrs, std::mem::take(&mut staged.extra)),
+                prep.query_tick,
+            );
         }
     }
 
@@ -1326,49 +1442,29 @@ pub(crate) fn merge_outputs(
     }
     if config.enable_stats {
         // Always advance the observation frontier over the merged prefix
-        // (monotone): the statistics replay above fed rows `[0, total)`, and
-        // a re-run after a cancellation must not observe them again.
+        // (monotone): the summaries above covered rows `[0, total)`, and a
+        // re-run after a cancellation must not observe them again.
         for &attr in &prep.req.attrs {
             table.stats.advance_observed(attr, total as u64);
         }
     }
-
-    // Results: concatenate per-partition batches in partition order,
-    // re-packing to full batches (reorder-free concatenation).
-    let mut queue: VecDeque<Batch> = VecDeque::new();
-    let mut acc = Batch::with_columns(n);
-    for mut o in results {
-        for b in o.batches.drain(..) {
-            if acc.is_empty() && b.rows() >= BATCH_SIZE {
-                queue.push_back(b);
-            } else {
-                acc.extend_from(b);
-                if acc.rows() >= BATCH_SIZE {
-                    queue.push_back(std::mem::replace(&mut acc, Batch::with_columns(n)));
-                }
-            }
-        }
-    }
-    if !acc.is_empty() {
-        queue.push_back(acc);
-    }
-    clock.lap(t, &mut bd.nodb);
+    clock.lap(t, &mut staged.bd.nodb);
 
     let mut tel = lock_recover(telemetry);
-    tel.io.merge(io);
+    tel.io.merge(staged.io);
     tel.rows_scanned = total as u64;
     tel.installed_chunk = installed;
-    tel.breakdown = bd;
-    tel.cache_hits = worker_hits;
-    tel.cache_misses = worker_misses;
+    tel.breakdown = staged.bd;
+    tel.cache_hits = staged.cache_hits;
+    tel.cache_misses = staged.cache_misses;
     tel.precounted = cold.is_some_and(|c| c.rows_known);
-    tel.steals = steals;
-    tel.rows_quarantined = quarantined;
-    tel.quarantine_samples = quarantine_samples;
+    tel.steals = staged.steals;
+    tel.rows_quarantined = staged.quarantined;
+    tel.quarantine_samples = staged.quarantine_samples;
     tel.stopped_early = !complete;
-    match stopped {
+    match staged.stopped {
         Some(stop) => Err(stop),
-        None => Ok(queue),
+        None => Ok(staged.queue),
     }
 }
 
@@ -1417,34 +1513,35 @@ pub(crate) fn scan_shared(
     let clock = PhaseClock::new(config.detailed_timing);
     let mut bd = Breakdown::default();
     let cold = partition_cold(prep, config, &clock, &mut bd)?;
-    let outcome = {
+    let (outcome, frontier) = {
         let table = handle.read();
         if table.generation != prep.generation {
             return Ok(None);
         }
-        run_partitions(&table, config, prep, partitions_of(prep, cold.as_ref()))?
+        let outcome = run_partitions(&table, config, prep, partitions_of(prep, cold.as_ref()))?;
+        (outcome, StatsFrontier::read(&table, prep))
     };
     // Re-validate the epoch before *any* merge — including a stopped
     // scan's partial-prefix merge — so a file rewritten while the workers
     // streamed it never installs poisoned map/cache/stats partials.
     revalidate_epoch(prep)?;
+    let staged = stage_outputs(config, prep, cold.as_ref(), outcome, bd, frontier, &clock);
 
     let mut table = handle.write();
     if table.generation != prep.generation {
         // The staged work describes dead state; a stopped query still fails
         // with its structured cause rather than retrying against new state.
-        return match outcome.stopped {
+        return match staged.stopped {
             Some(stop) => Err(stop),
             None => Ok(None),
         };
     }
-    merge_outputs(
+    install_staged(
         &mut table,
         config,
         prep,
         cold.as_ref(),
-        outcome,
-        bd,
+        staged,
         telemetry,
         &clock,
     )
@@ -1475,13 +1572,14 @@ pub(crate) fn scan_exclusive(
     let cold = partition_cold(prep, config, &clock, &mut bd)?;
     let outcome = run_partitions(table, config, prep, partitions_of(prep, cold.as_ref()))?;
     revalidate_epoch(prep)?;
-    merge_outputs(
+    let frontier = StatsFrontier::read(table, prep);
+    let staged = stage_outputs(config, prep, cold.as_ref(), outcome, bd, frontier, &clock);
+    install_staged(
         table,
         config,
         prep,
         cold.as_ref(),
-        outcome,
-        bd,
+        staged,
         telemetry,
         &clock,
     )
@@ -1750,6 +1848,65 @@ mod tests {
         assert_eq!(t.stats.attr(2).unwrap().rows_seen(), seen1);
         assert_eq!(t.stats.attr(2).unwrap().sample(), &sample1[..]);
         assert_eq!(t.stats.observed_upto(2), 150);
+        std::fs::remove_file(p).unwrap();
+    }
+
+    #[test]
+    fn frontier_moved_after_staging_is_resummarised() {
+        // A scan stages its summaries, then another merge observes a prefix
+        // ending mid-partition before this one installs: the straddling
+        // partition is summarised again from the new frontier, and the end
+        // state equals one plain scan's.
+        let (p, schema) = tmp_csv(4, 900, 31);
+        let cfg = NoDbConfig {
+            scan_threads: 3,
+            stats_sample_every: 2,
+            ..NoDbConfig::default()
+        };
+        let req = ScanRequest::project(vec![1, 2]);
+        let mut reference = RawTable::register(&p, schema.clone(), false, &cfg).unwrap();
+        scan_once(&mut reference, cfg, req.clone());
+
+        let mut t = RawTable::register(&p, schema, false, &cfg).unwrap();
+        let tel: TelemetryHandle = Arc::new(Mutex::new(ScanTelemetry::default()));
+        let prep = prepare_scan(&mut t, &cfg, req, &tel, QueryCtx::unbounded());
+        let clock = PhaseClock::new(false);
+        let cold = partition_cold(&prep, &cfg, &clock, &mut Breakdown::default()).unwrap();
+        let parts = partitions_of(&prep, cold.as_ref());
+        let outcome = run_partitions(&t, &cfg, &prep, parts).unwrap();
+        assert!(outcome.outputs.len() > 2, "several partitions");
+        let frontier = StatsFrontier::read(&t, &prep);
+        let staged = stage_outputs(
+            &cfg,
+            &prep,
+            cold.as_ref(),
+            outcome,
+            Breakdown::default(),
+            frontier,
+            &clock,
+        );
+
+        let moved = 437u64;
+        for row in (0..moved).step_by(2) {
+            let d = reference.cache.peek(1, row as usize).unwrap();
+            t.stats.attr_mut(1).observe(row, &d);
+        }
+        t.stats.advance_observed(1, moved);
+        install_staged(&mut t, &cfg, &prep, cold.as_ref(), staged, &tel, &clock).unwrap();
+
+        for attr in [1, 2] {
+            let (a, b) = (
+                t.stats.attr(attr).unwrap(),
+                reference.stats.attr(attr).unwrap(),
+            );
+            assert_eq!(a.rows_seen(), 450, "c{attr}: every other row, once");
+            assert_eq!(a.rows_seen(), b.rows_seen(), "c{attr} rows");
+            assert_eq!(a.min(), b.min(), "c{attr} min");
+            assert_eq!(a.max(), b.max(), "c{attr} max");
+            assert_eq!(a.ndv_words(), b.ndv_words(), "c{attr} ndv");
+            assert_eq!(a.sample(), b.sample(), "c{attr} sample");
+            assert_eq!(t.stats.observed_upto(attr), 900);
+        }
         std::fs::remove_file(p).unwrap();
     }
 

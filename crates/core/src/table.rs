@@ -190,7 +190,8 @@ impl RawTable {
     /// exactly as cold as it already was. Restoration honors the config's
     /// component switches (a `baseline()` instance restores nothing) and
     /// only adopts statistics captured under the same sampling stride,
-    /// since a restored reservoir must continue the same sample stream.
+    /// since later scans must sample the same rows the restored
+    /// accumulators did.
     pub fn try_restore_snapshot(&mut self, config: &NoDbConfig) -> RestoreOutcome {
         let snap = match nodb_snapshot::load_snapshot(
             &self.path,

@@ -7,9 +7,10 @@
 //! [`Tokens`] buffer, a partial positional-map [`ChunkBuilder`], partial
 //! cache columns ([`TypedColumn`] per requested attribute) and per-phase
 //! timing. All shared state is borrowed immutably ([`ScanContext`]); the
-//! mutable merge into the table's positional map, cache and statistics
-//! happens on the driver thread afterwards (`rawscan`), in partition order,
-//! so the post-scan state is identical for every partitioning.
+//! table's positional map, cache and statistics are updated afterwards
+//! (`rawscan`): partials are staged in partition order, statistics are
+//! summarised per partition, and one short locked install follows, so the
+//! post-scan state is identical for every partitioning.
 //!
 //! The worker is deliberately a plain function over `Send + Sync` borrows —
 //! no `Rc`/`RefCell` — so it can run under `std::thread::scope`.

@@ -301,9 +301,19 @@ impl TypedColumn {
         }
     }
 
+    /// Reserve room for `additional` more rows in the value vector.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        match self {
+            TypedColumn::Int { values, .. } => values.reserve(additional),
+            TypedColumn::Float { values, .. } => values.reserve(additional),
+            TypedColumn::Bool { values, .. } => values.reserve(additional),
+            TypedColumn::Str { values, .. } => values.reserve(additional),
+        }
+    }
+
     /// Append every row of `other` after this column's rows — the segment
-    /// merge of the parallel scan, which concatenates per-partition partial
-    /// columns in partition order.
+    /// merge of the parallel scan, which moves per-partition partial
+    /// columns into the cache in partition order.
     ///
     /// # Panics
     /// Panics when the column types differ (partials are always derived from
@@ -451,8 +461,8 @@ impl TypedColumn {
 }
 
 /// Convenience builder used by loaders that materialize a full column before
-/// installing it (the conventional-DBMS path); the in-situ scan appends
-/// directly through [`crate::cache::RawCache`].
+/// installing it (the conventional-DBMS path); the in-situ scan hands its
+/// partition segments to [`crate::cache::RawCache::admit_segments`].
 #[derive(Debug)]
 pub struct ColumnBuilder {
     col: TypedColumn,

@@ -7,10 +7,11 @@
 //! * **Binary, typed, columnar** — values are stored post-parse, so a hit
 //!   skips tokenizing, parsing *and* conversion; one typed column per
 //!   attribute ([`column::TypedColumn`]).
-//! * **Populated on the fly** — the scan appends each parsed value as it
-//!   goes ("once a disk block of the raw file has been parsed during a scan,
-//!   PostgresRaw caches the binary data immediately"); a column may cover
-//!   only a prefix of the file ("even parts of an attribute").
+//! * **Populated on the fly** — the typed values a scan parsed are moved in
+//!   as whole partition segments when the scan merges ("once a disk block
+//!   of the raw file has been parsed during a scan, PostgresRaw caches the
+//!   binary data immediately"); a column may cover only a prefix of the
+//!   file ("even parts of an attribute").
 //! * **Never forces extra parsing** — only attributes the current query
 //!   parses get cached (§3.2: "caching does not force additional data to be
 //!   parsed"). The ablation flag for the opposite behaviour lives in
@@ -25,5 +26,5 @@
 pub mod cache;
 pub mod column;
 
-pub use cache::{CacheMetrics, CachePolicy, RawCache};
+pub use cache::{CacheMetrics, CachePolicy, ColumnSegments, RawCache};
 pub use column::{ColumnBuilder, TypedColumn};

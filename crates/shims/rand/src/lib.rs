@@ -7,8 +7,8 @@
 //!
 //! Determinism is the only contract: the same seed always yields the same
 //! stream (xoshiro256++ seeded through SplitMix64). Statistical quality is
-//! more than sufficient for synthetic data generation and reservoir
-//! sampling; this is *not* a cryptographic generator.
+//! more than sufficient for synthetic data generation; this is *not* a
+//! cryptographic generator.
 
 use std::ops::{Range, RangeInclusive};
 
@@ -49,20 +49,6 @@ pub mod rngs {
             StdRng {
                 s: [next(), next(), next(), next()],
             }
-        }
-    }
-
-    impl StdRng {
-        /// Export the raw 256-bit generator state (for checkpointing a
-        /// stream mid-flight; pair with [`StdRng::from_state`]).
-        pub fn to_state(&self) -> [u64; 4] {
-            self.s
-        }
-
-        /// Rebuild a generator that continues exactly the stream captured
-        /// by [`StdRng::to_state`].
-        pub fn from_state(s: [u64; 4]) -> Self {
-            StdRng { s }
         }
     }
 
@@ -198,18 +184,6 @@ mod tests {
         }
         let mut c = StdRng::seed_from_u64(8);
         assert_ne!(StdRng::seed_from_u64(7).next_u64(), c.next_u64());
-    }
-
-    #[test]
-    fn state_round_trip_resumes_stream() {
-        let mut a = StdRng::seed_from_u64(42);
-        for _ in 0..17 {
-            a.next_u64();
-        }
-        let mut b = StdRng::from_state(a.to_state());
-        for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
     }
 
     #[test]

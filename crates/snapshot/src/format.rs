@@ -27,15 +27,17 @@ use nodb_rawcache::{RawCache, TypedColumn};
 use nodb_rawcsv::epoch::SourceEpoch;
 use nodb_rawcsv::reader::RawFileMeta;
 use nodb_rawcsv::{ColumnType, Datum};
-use nodb_stats::{AttrStatsState, ReservoirState, TableStats, TableStatsState};
+use nodb_stats::{AttrStatsState, TableStats, TableStatsState};
 
 /// Sidecar magic: identifies the file family (the trailing `1` is part of
 /// the brand, not the version — that lives in the next field).
 pub const MAGIC: [u8; 8] = *b"NODBSNP1";
 
 /// Current format version. Bump on any layout change; the loader refuses
-/// every other version (degrade to cold, never guess).
-pub const FORMAT_VERSION: u32 = 2;
+/// every other version (degrade to cold, never guess). Version 3 stores the
+/// bottom-k statistics sample (row hash + value per entry) in place of
+/// version 2's reservoir capacity, stream position and RNG words.
+pub const FORMAT_VERSION: u32 = 3;
 
 const SECTION_POSMAP: u32 = 1;
 const SECTION_CACHE: u32 = 2;
@@ -414,13 +416,9 @@ fn encode_stats(stats: &TableStatsState) -> Vec<u8> {
         e.put_u64(a.nulls);
         e.put_opt_datum(a.min.as_ref());
         e.put_opt_datum(a.max.as_ref());
-        e.put_len(a.reservoir.capacity);
-        e.put_u64(a.reservoir.seen);
-        for &w in &a.reservoir.rng {
-            e.put_u64(w);
-        }
-        e.put_len(a.reservoir.sample.len());
-        for d in &a.reservoir.sample {
+        e.put_len(a.sample.len());
+        for (h, d) in &a.sample {
+            e.put_u64(*h);
             e.put_datum(d);
         }
         e.put_len(a.ndv_words.len());
@@ -754,13 +752,11 @@ fn decode_stats(payload: &[u8]) -> Result<TableStatsState> {
         let nulls = d.u64()?;
         let min = d.opt_datum()?;
         let max = d.opt_datum()?;
-        let capacity = d.usize64()?;
-        let seen = d.u64()?;
-        let rng = [d.u64()?, d.u64()?, d.u64()?, d.u64()?];
         let n_sample = d.len()?;
-        let mut sample = Vec::with_capacity(n_sample.min(d.remaining()));
+        let mut sample = Vec::with_capacity(n_sample.min(d.remaining() / 9));
         for _ in 0..n_sample {
-            sample.push(d.datum()?);
+            let h = d.u64()?;
+            sample.push((h, d.datum()?));
         }
         let n_words = d.len()?;
         let word_bytes = n_words
@@ -776,12 +772,7 @@ fn decode_stats(payload: &[u8]) -> Result<TableStatsState> {
             nulls,
             min,
             max,
-            reservoir: ReservoirState {
-                sample,
-                capacity,
-                seen,
-                rng,
-            },
+            sample,
             ndv_words,
         });
     }

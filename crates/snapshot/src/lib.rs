@@ -85,11 +85,13 @@ mod tests {
 
         let mut stats = TableStats::new(1);
         for row in 0..50u64 {
-            stats.attr_mut(1).observe(&Datum::Int(row as i64 % 9));
+            stats.attr_mut(1).observe(row, &Datum::Int(row as i64 % 9));
             if row % 5 == 0 {
-                stats.attr_mut(3).observe(&Datum::Null);
+                stats.attr_mut(3).observe(row, &Datum::Null);
             } else {
-                stats.attr_mut(3).observe(&Datum::Float(row as f64 * 0.5));
+                stats
+                    .attr_mut(3)
+                    .observe(row, &Datum::Float(row as f64 * 0.5));
             }
         }
         stats.advance_observed(1, 50);
@@ -140,8 +142,7 @@ mod tests {
             assert_eq!(a.nulls, b.nulls);
             assert_eq!(a.min, b.min);
             assert_eq!(a.max, b.max);
-            assert_eq!(a.reservoir.rng, b.reservoir.rng);
-            assert_eq!(a.reservoir.sample, b.reservoir.sample);
+            assert_eq!(a.sample, b.sample);
             assert_eq!(a.ndv_words, b.ndv_words);
         }
     }

@@ -1,6 +1,6 @@
 //! Equi-depth histograms over a sample.
 //!
-//! Built lazily from the per-attribute reservoir: each bucket holds the same
+//! Built lazily from the per-attribute sample: each bucket holds the same
 //! number of sampled values, so `fraction ≤ v` is read off by locating `v`'s
 //! bucket. Works over any datum type via the total ordering (numeric in
 //! practice; strings order lexicographically, the same semantics as the

@@ -44,6 +44,16 @@ impl DistinctCounter {
         }
     }
 
+    /// Fold in another counter's bits (bitmap OR): the union of both
+    /// recorded value sets. Counters of different sizes leave `self`
+    /// unchanged past the shorter bitmap.
+    pub fn merge(&mut self, other: &DistinctCounter) {
+        for (w, o) in self.bits.iter_mut().zip(&other.bits) {
+            *w |= o;
+        }
+        self.set = self.bits.iter().map(|w| w.count_ones() as usize).sum();
+    }
+
     /// Estimated number of distinct values recorded.
     pub fn estimate(&self) -> f64 {
         let m = self.mbits as f64;
@@ -130,6 +140,24 @@ mod tests {
     fn int_and_float_hash_together() {
         assert_eq!(hash_datum(&Datum::Int(42)), hash_datum(&Datum::Float(42.0)));
         assert_ne!(hash_datum(&Datum::Int(42)), hash_datum(&Datum::Float(42.5)));
+    }
+
+    #[test]
+    fn merge_is_bitmap_union() {
+        let mut a = DistinctCounter::default_size();
+        let mut b = DistinctCounter::default_size();
+        let mut both = DistinctCounter::default_size();
+        for i in 0..400 {
+            if i % 2 == 0 {
+                a.add(&Datum::Int(i))
+            } else {
+                b.add(&Datum::Int(i))
+            }
+            both.add(&Datum::Int(i));
+        }
+        a.merge(&b);
+        assert_eq!(a.words(), both.words());
+        assert_eq!(a.estimate(), both.estimate());
     }
 
     #[test]

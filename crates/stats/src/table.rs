@@ -25,8 +25,11 @@ pub struct TableStats {
     /// `(attr, row)` pair at most once. Kept separate from [`AttrStats`] so
     /// an advanced frontier alone never makes an attribute "covered".
     observed: HashMap<usize, u64>,
-    /// Sampling stride used by the scan: every `sample_every`-th row of a
-    /// scan feeds `observe`. 1 = every row.
+    /// Sampling stride used by the scan: data rows whose 0-based index is a
+    /// multiple of `sample_every` feed the accumulators. 1 = every row.
+    /// The stride is a function of the global row id, so each partition of
+    /// a scan applies it locally and the summaries still merge to the
+    /// sequential state.
     pub sample_every: u64,
 }
 
@@ -48,19 +51,10 @@ impl TableStats {
             .or_insert_with(|| AttrStats::new(attr))
     }
 
-    /// Whether the scan should feed `row` (a 0-based data-row index) into
-    /// the accumulators under the sampling stride.
-    ///
-    /// This is the single source of truth for both the sequential scan and
-    /// the parallel scan's merge phase. The parallel scan deliberately
-    /// *replays* buffered observations in global row order instead of
-    /// merging per-partition accumulators: the reservoir sample is a
-    /// sequential-stream algorithm whose state depends on arrival order, so
-    /// order-preserving replay is what keeps `scan_threads = N` statistics
-    /// byte-identical to `scan_threads = 1`.
-    #[inline]
-    pub fn should_sample(&self, row: u64) -> bool {
-        row.is_multiple_of(self.sample_every)
+    /// Fold a summary of rows not yet observed for `attr` into its
+    /// accumulator (created on first touch). See [`AttrStats::merge`].
+    pub fn merge_summary(&mut self, attr: usize, summary: AttrStats) {
+        self.attr_mut(attr).merge(summary);
     }
 
     /// Accumulator for `attr`, if any query has touched it.
@@ -159,7 +153,7 @@ impl TableStats {
 
     /// Selectivity with interior mutability over histogram rebuilds: this
     /// takes `&mut self` because histograms are built lazily from the
-    /// reservoir. The optimizer holds the registry mutably during planning.
+    /// sample. The optimizer holds the registry mutably during planning.
     pub fn selectivity_mut(&mut self, attr: usize, sketch: &PredicateSketch) -> f64 {
         let Some(stats) = self.attrs.get_mut(&attr) else {
             return default_selectivity(sketch);
@@ -210,11 +204,8 @@ pub struct TableStatsState {
     pub sample_every: u64,
 }
 
-/// Estimate prefix-match selectivity by scanning the reservoir sample.
+/// Estimate prefix-match selectivity by scanning the sample.
 fn prefix_fraction(stats: &mut AttrStats, prefix: &str) -> Option<f64> {
-    // The reservoir lives behind the accumulator; expose through histogram's
-    // underlying sample by re-deriving from min/max is wrong, so instead we
-    // rely on a dedicated sample walk.
     let sample = stats.sample();
     if sample.is_empty() {
         return None;
@@ -263,7 +254,7 @@ mod tests {
         let mut t = TableStats::new(1);
         let a = t.attr_mut(0);
         for i in 0..n {
-            a.observe(&Datum::Int(i));
+            a.observe(i as u64, &Datum::Int(i));
         }
         t.set_row_count(n as u64);
         t
@@ -308,9 +299,9 @@ mod tests {
         let a = t.attr_mut(0);
         for i in 0..100 {
             if i % 4 == 0 {
-                a.observe(&Datum::Null);
+                a.observe(i as u64, &Datum::Null);
             } else {
-                a.observe(&Datum::Int(i));
+                a.observe(i as u64, &Datum::Int(i));
             }
         }
         let s = t.selectivity_mut(0, &PredicateSketch::IsNull);
@@ -333,8 +324,8 @@ mod tests {
     #[test]
     fn covered_attrs_lists_touched_only() {
         let mut t = TableStats::new(1);
-        t.attr_mut(3).observe(&Datum::Int(1));
-        t.attr_mut(1).observe(&Datum::Int(1));
+        t.attr_mut(3).observe(0, &Datum::Int(1));
+        t.attr_mut(1).observe(0, &Datum::Int(1));
         assert_eq!(t.covered_attrs(), vec![1, 3]);
     }
 
@@ -351,9 +342,9 @@ mod tests {
     fn table_state_round_trip_preserves_everything() {
         let mut t = TableStats::new(2);
         for i in 0..500 {
-            t.attr_mut(0).observe(&Datum::Int(i));
+            t.attr_mut(0).observe(i as u64, &Datum::Int(i));
             if i % 3 == 0 {
-                t.attr_mut(4).observe(&Datum::from("abc"));
+                t.attr_mut(4).observe(i as u64, &Datum::from("abc"));
             }
         }
         t.advance_observed(0, 500);
@@ -378,7 +369,7 @@ mod tests {
     #[test]
     fn table_from_state_rejects_duplicates() {
         let mut t = TableStats::new(1);
-        t.attr_mut(0).observe(&Datum::Int(1));
+        t.attr_mut(0).observe(0, &Datum::Int(1));
         let mut s = t.export_state();
         let dup = s.attrs[0].clone();
         s.attrs.push(dup);
@@ -389,8 +380,11 @@ mod tests {
     fn prefix_selectivity_from_sample() {
         let mut t = TableStats::new(1);
         let a = t.attr_mut(0);
-        for s in ["apple", "apricot", "banana", "avocado"] {
-            a.observe(&Datum::from(s));
+        for (row, s) in ["apple", "apricot", "banana", "avocado"]
+            .into_iter()
+            .enumerate()
+        {
+            a.observe(row as u64, &Datum::from(s));
         }
         let s = t.selectivity_mut(0, &PredicateSketch::StrPrefix("ap".into()));
         assert!((s - 0.5).abs() < 1e-9, "prefix sel = {s}");

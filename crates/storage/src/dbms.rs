@@ -191,7 +191,7 @@ impl ConventionalDb {
                     }
                     None => Datum::Null,
                 };
-                stats.attr_mut(attr).observe(&d);
+                stats.attr_mut(attr).observe(rows, &d);
                 row_buf.push(d);
             }
             // Index maintenance (timed separately).

@@ -21,7 +21,7 @@
 
 use nodb_repro::core::{NoDb, NoDbConfig};
 use nodb_repro::prelude::*;
-use nodb_repro::rawcache::{CachePolicy, RawCache};
+use nodb_repro::rawcache::{CachePolicy, ColumnSegments, RawCache, TypedColumn};
 use nodb_repro::rawcsv::tokenizer::{TokenizerConfig, Tokens};
 use nodb_repro::stats::EquiDepthHistogram;
 use nodb_repro::storage::{ConventionalDb, DbProfile};
@@ -626,18 +626,26 @@ fn cache_round_trips_arbitrary_values() {
         let n = rng.below(300) as usize;
         let mut cache = RawCache::new(CachePolicy::default());
         let tick = cache.begin_query(&[0, 1]);
+        // Values land in typed segments cut at random rows, as partition
+        // workers hand them to the merge.
         let mut ints = Vec::new();
         let mut strs = Vec::new();
+        let mut int_segs = vec![TypedColumn::new(ColumnType::Int)];
+        let mut str_segs = vec![TypedColumn::new(ColumnType::Str)];
         for _ in 0..n {
+            if rng.below(16) == 0 {
+                int_segs.push(TypedColumn::new(ColumnType::Int));
+                str_segs.push(TypedColumn::new(ColumnType::Str));
+            }
             match rng.below(3) {
                 0 => {
                     let v = Datum::Null;
-                    assert!(cache.append(0, ColumnType::Int, &v, tick));
+                    int_segs.last_mut().unwrap().push(&v);
                     ints.push(v);
                 }
                 1 => {
                     let v = Datum::Int(rng.next() as i64);
-                    assert!(cache.append(0, ColumnType::Int, &v, tick));
+                    int_segs.last_mut().unwrap().push(&v);
                     ints.push(v);
                 }
                 _ => {
@@ -646,11 +654,27 @@ fn cache_round_trips_arbitrary_values() {
                         .map(|_| (b'a' + rng.below(26) as u8) as char)
                         .collect();
                     let v = Datum::from(s.as_str());
-                    assert!(cache.append(1, ColumnType::Str, &v, tick));
+                    str_segs.last_mut().unwrap().push(&v);
                     strs.push(v);
                 }
             }
         }
+        cache.admit_segments(
+            vec![
+                ColumnSegments {
+                    attr: 0,
+                    segments: int_segs,
+                },
+                ColumnSegments {
+                    attr: 1,
+                    segments: str_segs,
+                },
+            ],
+            Vec::new(),
+            tick,
+        );
+        assert_eq!(cache.coverage(0), ints.len(), "case {case} int coverage");
+        assert_eq!(cache.coverage(1), strs.len(), "case {case} str coverage");
         for (i, v) in ints.iter().enumerate() {
             assert_eq!(cache.peek(0, i), Some(v.clone()), "case {case} int row {i}");
         }

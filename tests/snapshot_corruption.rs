@@ -128,6 +128,20 @@ fn future_version_degrades_to_cold() {
     cleanup(&path);
 }
 
+/// Version skew backwards: a version-2 sidecar (reservoir sample plus RNG
+/// state) is refused too — the table starts cold instead of decoding a
+/// sample layout this build no longer writes.
+#[test]
+fn previous_version_degrades_to_cold() {
+    let (path, side, gen) = warmed_sidecar("prev-version");
+    let mut bytes = std::fs::read(&side).unwrap();
+    assert_eq!(snapshot::FORMAT_VERSION, 3);
+    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+    std::fs::write(&side, &bytes).unwrap();
+    assert_degrades_to_cold("previous-version", &path, &gen);
+    cleanup(&path);
+}
+
 /// Stale fingerprint: the sidecar is internally pristine but the data file
 /// it describes was replaced. The fingerprint check must win.
 #[test]
