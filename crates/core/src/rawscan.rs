@@ -43,13 +43,10 @@
 //!   ([`nodb_rawcsv::reader::BlockScanner::next_line_tokenized`]).
 //!
 //! Every scanner — per-slice worker and the cold pre-count — pulls its
-//! blocks through the pluggable [`nodb_rawcsv::reader::BlockSource`] layer:
-//! with `NoDbConfig::io_readahead_blocks > 0` each gets its own prefetch
-//! helper thread that keeps blocks in flight while the scan thread
-//! tokenizes (disk wait overlaps CPU; the remaining wait is reported as
-//! `IoCounters::stall`), with `0` it reads synchronously. The byte stream
-//! is identical either way, so the read-ahead depth never affects the
-//! post-scan state.
+//! blocks through [`nodb_rawcsv::reader::make_source`]: blocking
+//! block-sized reads on its own thread, wrapped in fault injection and
+//! retry by the config's `IoProfile`. The time those reads block is
+//! reported as `IoCounters::stall`.
 //!
 //! # Concurrent queries (lock staging)
 //!
@@ -209,12 +206,10 @@ pub struct ScanTelemetry {
     /// facade's derived `processing` remainder can clamp to zero).
     pub breakdown: Breakdown,
     /// Raw-file I/O counters, including the **I/O stall time**
-    /// (`IoCounters::stall`): the summed time scan threads spent blocked
-    /// waiting for bytes — the whole `read` on the synchronous source, only
-    /// the empty-pipeline wait with read-ahead. This is what separates
-    /// "waiting on disk" from "tokenizing" in the Figure-3-style breakdown:
-    /// `io_readahead_blocks > 0` shrinks `io.stall` while `bytes_read`
-    /// stays put.
+    /// (`IoCounters::stall`): the summed time scan threads spent blocked in
+    /// `read` calls. Workers charge it to `breakdown.io` on every path, so
+    /// "waiting on disk" and "tokenizing" stay separate slices in the
+    /// Figure-3-style breakdown.
     pub io: IoCounters,
     /// Tuples visited.
     pub rows_scanned: u64,
@@ -704,9 +699,9 @@ pub(crate) struct ColdScanPlan {
 ///
 /// Boundary counts are read from the prep's memo snapshot where available;
 /// only unknown slices are counted, concurrently on up to `prep.threads`
-/// threads — each reusing the scan's read-ahead pipeline
-/// (`config.io_readahead_blocks`). Runs without any table lock (it touches
-/// only the raw file and the snapshot).
+/// threads, each reading its slices with the scan's block size and
+/// `IoProfile`. Runs without any table lock (it touches only the raw file
+/// and the snapshot).
 pub(crate) fn plan_cold_partitions(
     prep: &ScanPrep,
     config: &NoDbConfig,
@@ -765,7 +760,7 @@ pub(crate) fn plan_cold_partitions(
                     let mine = &missing[lo..hi];
                     let ranges = &ranges;
                     let path = &prep.path;
-                    let (io_block, readahead) = (config.io_block_size, config.io_readahead_blocks);
+                    let io_block = config.io_block_size;
                     let profile = config.io_profile();
                     let interrupt = prep.ctx.stop_flag();
                     s.spawn(move || {
@@ -774,7 +769,6 @@ pub(crate) fn plan_cold_partitions(
                             let (lines, io) = count_lines_in_range_ctl(
                                 path,
                                 io_block,
-                                readahead,
                                 ranges[i],
                                 profile,
                                 Some(Arc::clone(&interrupt)),
@@ -2104,28 +2098,6 @@ mod tests {
                 ScanRequest::project(vec![0, 3]),
                 ScanRequest::project(vec![3, 6]),
                 ScanRequest::project(vec![1]),
-            ],
-        );
-    }
-
-    #[test]
-    fn readahead_scan_matches_sequential_state() {
-        // Read-ahead is a pure overlap knob: cold scan, then a warm rescan,
-        // must leave state byte-identical to the synchronous one-worker
-        // scan.
-        assert_parallel_matches_sequential(
-            5,
-            800,
-            28,
-            4,
-            |t| NoDbConfig {
-                scan_threads: t,
-                io_readahead_blocks: if t > 1 { 8 } else { 0 },
-                ..NoDbConfig::default()
-            },
-            &[
-                ScanRequest::project(vec![0, 2]),
-                ScanRequest::project(vec![2, 4]),
             ],
         );
     }

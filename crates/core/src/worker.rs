@@ -2,12 +2,12 @@
 //!
 //! Every raw scan, at every thread count, runs through [`run_partition`].
 //! One worker owns one [`LineRange`] of the file and everything it needs to
-//! process it without synchronization: its own [`RangeScanner`] (with its
-//! own read-ahead pipeline when `io_readahead_blocks > 0`), a reusable
-//! [`Tokens`] buffer, a partial positional-map [`ChunkBuilder`], partial
-//! cache columns ([`TypedColumn`] per requested attribute) and per-phase
-//! timing. All shared state is borrowed immutably ([`ScanContext`]); the
-//! table's positional map, cache and statistics are updated afterwards
+//! process it without synchronization: its own [`RangeScanner`] (blocking
+//! block reads on the worker's thread), a reusable [`Tokens`] buffer, a
+//! partial positional-map [`ChunkBuilder`], partial cache columns
+//! ([`TypedColumn`] per requested attribute) and per-phase timing. All
+//! shared state is borrowed immutably ([`ScanContext`]); the table's
+//! positional map, cache and statistics are updated afterwards
 //! (`rawscan`): partials are staged in partition order, statistics are
 //! summarised per partition, and one short locked install follows, so the
 //! post-scan state is identical for every partitioning.
@@ -186,10 +186,6 @@ pub(crate) fn run_partition(
         }
     }
 
-    // Each partition worker gets its own read-ahead pipeline: with
-    // `io_readahead_blocks > 0` a helper thread keeps the next blocks in
-    // flight while this worker tokenizes the current one (`BlockSource` in
-    // `nodb_rawcsv::reader`); `0` reads synchronously as before.
     // Clamp the partition to the epoch's torn-row fence: bytes past it
     // belong to the next epoch (a torn trailing row, a concurrent append).
     // This also resolves the warm last partition's `u64::MAX` run-to-EOF
@@ -203,7 +199,6 @@ pub(crate) fn run_partition(
     let mut scanner = RangeScanner::open_with_profile(
         ctx.path,
         ctx.config.io_block_size,
-        ctx.config.io_readahead_blocks,
         range,
         0,
         ctx.config.io_profile(),
@@ -306,8 +301,9 @@ pub(crate) fn run_partition(
             }
         };
         // The fused pass does the tokenizing work inside the line fetch, so
-        // its time lands in the tokenizing slice; the plain path's fetch is
-        // pure I/O + newline discovery.
+        // its time lands in the tokenizing slice (the block reads inside it
+        // move to I/O below); the plain path's fetch is pure I/O + newline
+        // discovery.
         clock.lap(t, if fused { &mut d_tok } else { &mut d_io });
         // Mid-scan truncation detection, gated on the fence so legacy mode
         // (`detect_updates` off) stays byte-identical. Both probes are
@@ -422,6 +418,13 @@ pub(crate) fn run_partition(
     }
     out.rows = local;
     out.io = scanner.take_counters();
+    if fused && ctx.config.detailed_timing {
+        // The scanner's reads block this thread, so `stall` is exactly the
+        // read time the fused laps charged to tokenizing.
+        let stall = out.io.stall.min(d_tok);
+        d_tok -= stall;
+        d_io += stall;
+    }
     out.breakdown.io = d_io;
     out.breakdown.tokenizing = d_tok;
     out.breakdown.parsing = d_parse;

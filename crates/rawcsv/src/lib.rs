@@ -40,7 +40,7 @@ pub use error::RawCsvError;
 pub use generator::{ColumnGenSpec, GeneratorConfig, ValueDistribution};
 pub use reader::{
     is_transient_io, BlockScanner, BlockSource, FaultPlan, FaultyBlocks, IoCounters, IoProfile,
-    RawFileMeta, ReadaheadBlocks, RetryBlocks, SyncBlocks,
+    RawFileMeta, RetryBlocks, SyncBlocks,
 };
 pub use schema::{ColumnDef, ColumnType, Schema};
 pub use tokenizer::{FieldSpan, TokenizerConfig, Tokens};

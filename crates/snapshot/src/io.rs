@@ -15,7 +15,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use nodb_rawcsv::reader::{make_source_with, Window};
+use nodb_rawcsv::reader::{make_source, Window};
 use nodb_rawcsv::IoProfile;
 
 use crate::format::{decode_snapshot, SnapshotError, TableSnapshot};
@@ -85,8 +85,8 @@ pub fn read_sidecar_bytes(
     block_size: usize,
     profile: IoProfile,
 ) -> Result<Vec<u8>, SnapshotError> {
-    let mut source = make_source_with(path, block_size, 0, profile)
-        .map_err(|e| SnapshotError::Io(e.to_string()))?;
+    let mut source =
+        make_source(path, block_size, profile).map_err(|e| SnapshotError::Io(e.to_string()))?;
     let mut win = Window::at(0);
     // Capacity hint only — the loop still reads to EOF, so a file that
     // grows or shrinks between stat and read stays correct.

@@ -166,6 +166,37 @@ fn mixed_type_file_with_header_round_trips() {
 /// A cold filtered `COUNT(*)` is scan-bound, so `engine` must stay under
 /// half of `total` at every thread count, with phase timing on or off —
 /// scan time never hides inside the engine measurement.
+/// A cold scan's block reads are I/O, not tokenizing: on the fused
+/// line-and-token path the reads happen inside the tokenizing pass, and
+/// the worker must still charge their blocked time (`io.stall`) to the I/O
+/// slice, at every thread count.
+#[test]
+fn cold_fused_scan_charges_reads_to_io() {
+    let dir = scratch_dir("it_io_slice");
+    let data = Dataset::standard(&dir, 4, 100_000, 0x10A);
+    let sql = "SELECT COUNT(*) FROM t WHERE c1 < 500000000";
+    for scan_threads in [1, 2] {
+        let mut db = NoDb::new(NoDbConfig {
+            scan_threads,
+            detailed_timing: true,
+            ..NoDbConfig::default()
+        });
+        db.register_csv_with_schema("t", &data.path, data.schema(), false)
+            .unwrap();
+        db.query(sql).unwrap();
+        let rep = db.admin().last_report().unwrap();
+        assert!(rep.io.bytes_read > 0, "threads={scan_threads}: cold scan");
+        assert!(
+            rep.breakdown.io >= rep.io.stall,
+            "threads={scan_threads}: io slice {:?} < read stall {:?} (tokenizing {:?})",
+            rep.breakdown.io,
+            rep.io.stall,
+            rep.breakdown.tokenizing
+        );
+    }
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
 #[test]
 fn engine_slice_excludes_scan_time() {
     let dir = scratch_dir("it_engine_slice");

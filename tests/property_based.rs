@@ -69,16 +69,6 @@ fn stress_factor() -> u64 {
         .unwrap_or(1)
 }
 
-/// Read-ahead depth for the suites that don't sweep it themselves:
-/// `NODB_TEST_READAHEAD` pins `io_readahead_blocks` (CI's stress job runs
-/// 8); unset, the config default applies.
-fn test_readahead() -> usize {
-    std::env::var("NODB_TEST_READAHEAD")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(NoDbConfig::default().io_readahead_blocks)
-}
-
 #[test]
 fn adaptive_equals_baseline() {
     let mut rng = CaseRng::new(0xADA7);
@@ -153,7 +143,6 @@ fn parallel_scan_equals_sequential() {
             let cfg = NoDbConfig {
                 scan_threads,
                 cache_budget_bytes: cache_budget,
-                io_readahead_blocks: test_readahead(),
                 ..NoDbConfig::pm_c()
             };
             let mut db = NoDb::new(cfg);
@@ -274,7 +263,6 @@ fn cold_partial_cache_reuse_equals_sequential() {
                 scan_threads,
                 steal_slices_per_thread: steal,
                 cold_precount: precount,
-                io_readahead_blocks: test_readahead(),
                 ..NoDbConfig::pm_c()
             };
             let mut db = NoDb::new(cfg);
@@ -345,16 +333,16 @@ fn cold_partial_cache_reuse_equals_sequential() {
     }
 }
 
-/// The overlapped-I/O invariant (ISSUE 4): every combination of
-/// `scan_threads` {1, 4, 8} × `io_readahead_blocks` {0, 2, 8} × stealing
-/// {off, on} must produce byte-identical positional map, cache and
-/// statistics and identical result batches to the synchronous sequential
-/// reference (`threads 1, readahead 0`). Read-ahead only changes *when*
-/// bytes arrive, never which bytes the scan consumes, so no schedule may
-/// perturb results or post-scan adaptive state — including under cache
-/// budget pressure, where admission replays must stay decision-identical.
+/// The scan-schedule invariant: every combination of `scan_threads`
+/// {1, 4, 8} × stealing {off, on} must produce byte-identical positional
+/// map, cache and statistics and identical result batches to the
+/// sequential reference (`threads 1`, stealing off). Schedules only change
+/// which worker consumes which slice, never which bytes the scan consumes,
+/// so none may perturb results or post-scan adaptive state — including
+/// under cache budget pressure, where admission must stay
+/// decision-identical.
 #[test]
-fn readahead_schedules_equal_sync_sequential_state() {
+fn scan_schedules_equal_sequential_state() {
     let mut rng = CaseRng::new(0x10AD);
     for case in 0..(3 * stress_factor()) {
         let cols = 2 + rng.below(5) as usize;
@@ -366,17 +354,16 @@ fn readahead_schedules_equal_sync_sequential_state() {
         let cache_budget = *rng.pick(&[1_500usize, 1 << 22]);
 
         let gen = GeneratorConfig::uniform_ints(cols, rows, seed);
-        let path = scratch("readahead", case);
+        let path = scratch("schedules", case);
         gen.generate_file(&path).unwrap();
         let queries = [
             format!("SELECT c{a1} FROM t WHERE c{pred} < {cut}"),
             format!("SELECT c{pred}, c{a1} FROM t"),
         ];
 
-        let run = |threads: usize, readahead: usize, steal: usize| {
+        let run = |threads: usize, steal: usize| {
             let cfg = NoDbConfig {
                 scan_threads: threads,
-                io_readahead_blocks: readahead,
                 steal_slices_per_thread: steal,
                 cache_budget_bytes: cache_budget,
                 ..NoDbConfig::pm_c()
@@ -388,58 +375,54 @@ fn readahead_schedules_equal_sync_sequential_state() {
             (db, results)
         };
 
-        let (ref_db, ref_results) = run(1, 0, 0);
+        let (ref_db, ref_results) = run(1, 0);
         let ref_handle = ref_db.table_handle("t").unwrap();
         let ref_table = ref_handle.read();
         for threads in [1usize, 4, 8] {
-            for readahead in [0usize, 2, 8] {
-                for steal in [0usize, 4] {
-                    let tag = format!(
-                        "case {case} threads {threads} readahead {readahead} steal {steal} \
-                         budget {cache_budget}"
+            for steal in [0usize, 4] {
+                let tag =
+                    format!("case {case} threads {threads} steal {steal} budget {cache_budget}");
+                let (db, results) = run(threads, steal);
+                assert_eq!(results, ref_results, "{tag}: query results");
+                let handle = db.table_handle("t").unwrap();
+                let table = handle.read();
+                for attr in 0..cols {
+                    assert_eq!(
+                        ref_table.map().coverage(attr),
+                        table.map().coverage(attr),
+                        "{tag}: posmap coverage c{attr}"
                     );
-                    let (db, results) = run(threads, readahead, steal);
-                    assert_eq!(results, ref_results, "{tag}: query results");
-                    let handle = db.table_handle("t").unwrap();
-                    let table = handle.read();
-                    for attr in 0..cols {
+                    assert_eq!(
+                        ref_table.cache().coverage(attr),
+                        table.cache().coverage(attr),
+                        "{tag}: cache coverage c{attr}"
+                    );
+                    for row in 0..ref_table.cache().coverage(attr) {
                         assert_eq!(
-                            ref_table.map().coverage(attr),
-                            table.map().coverage(attr),
-                            "{tag}: posmap coverage c{attr}"
+                            ref_table.cache().peek(attr, row),
+                            table.cache().peek(attr, row),
+                            "{tag}: cache content c{attr} row {row}"
                         );
-                        assert_eq!(
-                            ref_table.cache().coverage(attr),
-                            table.cache().coverage(attr),
-                            "{tag}: cache coverage c{attr}"
-                        );
-                        for row in 0..ref_table.cache().coverage(attr) {
-                            assert_eq!(
-                                ref_table.cache().peek(attr, row),
-                                table.cache().peek(attr, row),
-                                "{tag}: cache content c{attr} row {row}"
-                            );
-                        }
-                        assert_eq!(
-                            ref_table.stats().observed_upto(attr),
-                            table.stats().observed_upto(attr),
-                            "{tag}: stats frontier c{attr}"
-                        );
-                        match (ref_table.stats().attr(attr), table.stats().attr(attr)) {
-                            (None, None) => {}
-                            (Some(a), Some(b)) => {
-                                assert_eq!(a.rows_seen(), b.rows_seen(), "{tag}: stats c{attr}");
-                                assert_eq!(a.sample(), b.sample(), "{tag}: reservoir c{attr}");
-                            }
-                            other => panic!("{tag}: stats presence differs c{attr}: {other:?}"),
-                        }
                     }
                     assert_eq!(
-                        ref_table.map().row_index().len(),
-                        table.map().row_index().len(),
-                        "{tag}: row index size"
+                        ref_table.stats().observed_upto(attr),
+                        table.stats().observed_upto(attr),
+                        "{tag}: stats frontier c{attr}"
                     );
+                    match (ref_table.stats().attr(attr), table.stats().attr(attr)) {
+                        (None, None) => {}
+                        (Some(a), Some(b)) => {
+                            assert_eq!(a.rows_seen(), b.rows_seen(), "{tag}: stats c{attr}");
+                            assert_eq!(a.sample(), b.sample(), "{tag}: reservoir c{attr}");
+                        }
+                        other => panic!("{tag}: stats presence differs c{attr}: {other:?}"),
+                    }
                 }
+                assert_eq!(
+                    ref_table.map().row_index().len(),
+                    table.map().row_index().len(),
+                    "{tag}: row index size"
+                );
             }
         }
         std::fs::remove_file(path).ok();
@@ -509,7 +492,6 @@ fn vectorized_execution_equals_rowwise() {
                 scan_threads,
                 vectorized_exec: vectorized,
                 cache_budget_bytes: budget,
-                io_readahead_blocks: test_readahead(),
                 ..NoDbConfig::pm_c()
             };
             let mut db = NoDb::new(cfg);
@@ -812,7 +794,7 @@ fn assert_same_adaptive_state(a: &NoDb, b: &NoDb, cols: usize, label: &str) {
 /// queries, a scan under deterministic fault injection (seeded `EIO`s,
 /// short reads and latency on block refills) produces query results — cold
 /// and warm — and post-scan adaptive state byte-identical to a fault-free
-/// run, across scan_threads {1, 4, 8} × read-ahead {0, 2}.
+/// run, across scan_threads {1, 4, 8}.
 #[test]
 fn faulty_scans_match_fault_free() {
     let mut rng = CaseRng::new(0xFA17);
@@ -836,39 +818,36 @@ fn faulty_scans_match_fault_free() {
         ];
 
         for &threads in &[1usize, 4, 8] {
-            for &readahead in &[0usize, 2] {
-                let label = format!("case {case} threads {threads} ra {readahead}");
-                let mk = |fault_seed: u64| {
-                    let cfg = NoDbConfig {
-                        scan_threads: threads,
-                        io_readahead_blocks: readahead,
-                        cache_budget_bytes: cache_budget,
-                        // Aggressive injection (~1 refill in 4) with zero
-                        // backoff: the default 2 retries must clear every
-                        // injected fault (the injector never fires twice in
-                        // a row on one source).
-                        io_fault_seed: fault_seed,
-                        io_fault_one_in: 4,
-                        io_retry_backoff_ms: 0,
-                        ..NoDbConfig::pm_c()
-                    };
-                    let mut db = NoDb::new(cfg);
-                    db.register_csv_with_schema("t", &path, gen.schema(), false)
-                        .unwrap();
-                    db
+            let label = format!("case {case} threads {threads}");
+            let mk = |fault_seed: u64| {
+                let cfg = NoDbConfig {
+                    scan_threads: threads,
+                    cache_budget_bytes: cache_budget,
+                    // Aggressive injection (~1 refill in 4) with zero
+                    // backoff: the default 2 retries must clear every
+                    // injected fault (the injector never fires twice in
+                    // a row on one source).
+                    io_fault_seed: fault_seed,
+                    io_fault_one_in: 4,
+                    io_retry_backoff_ms: 0,
+                    ..NoDbConfig::pm_c()
                 };
-                let clean = mk(0);
-                let chaos = mk(fault_seed);
-                for (qi, sql) in queries.iter().enumerate() {
-                    // Cold then warm on both sides, compared pairwise.
-                    for pass in ["cold", "warm"] {
-                        let want = clean.query(sql).unwrap();
-                        let got = chaos.query(sql).unwrap();
-                        assert_eq!(want, got, "{label} q{qi} {pass}: {sql}");
-                    }
+                let mut db = NoDb::new(cfg);
+                db.register_csv_with_schema("t", &path, gen.schema(), false)
+                    .unwrap();
+                db
+            };
+            let clean = mk(0);
+            let chaos = mk(fault_seed);
+            for (qi, sql) in queries.iter().enumerate() {
+                // Cold then warm on both sides, compared pairwise.
+                for pass in ["cold", "warm"] {
+                    let want = clean.query(sql).unwrap();
+                    let got = chaos.query(sql).unwrap();
+                    assert_eq!(want, got, "{label} q{qi} {pass}: {sql}");
                 }
-                assert_same_adaptive_state(&clean, &chaos, cols, &label);
             }
+            assert_same_adaptive_state(&clean, &chaos, cols, &label);
         }
         std::fs::remove_file(path).ok();
     }
